@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -209,3 +210,25 @@ class TestBench:
             capsys, "bench", "--json", "-p", "0", "-q", "2", "--samples", "4", "--float"
         )
         assert "float-chain" in json.loads(out)["lanes"]
+
+
+GOLDEN = json.loads((Path(__file__).parent / "data" / "golden_cli.json").read_text())["cases"]
+
+
+class TestGoldenCorpus:
+    """inv, inv --json and disc on 40 fixed inputs over all 21 signatures.
+
+    The stdout and exit codes were recorded before the chain was compiled
+    into integer plans; any change to them must be deliberate.
+    """
+
+    @pytest.mark.parametrize(
+        "case", GOLDEN, ids=[f"{i:03d}-{c['argv'][0]}" for i, c in enumerate(GOLDEN)]
+    )
+    def test_byte_identical(self, capsys, case):
+        code, out, _ = run(capsys, *case["argv"])
+        assert (code, out) == (case["exit"], case["stdout"])
+
+    def test_covers_every_signature(self):
+        sigs = {(c["argv"][2], c["argv"][4]) for c in GOLDEN}
+        assert len(sigs) == 21

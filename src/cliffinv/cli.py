@@ -18,6 +18,7 @@ from .errors import CliffordError, LexError, NotInvertible, ParseError
 from .inversion import (
     compose_inverse,
     default_chain,
+    discriminant,
     discriminant_closed_form,
 )
 from .involutions import NAMED_DELTAS, delta_solutions, named_map_matches
@@ -149,7 +150,7 @@ def _cmd_inv(args: argparse.Namespace) -> int:
 
 def _cmd_disc(args: argparse.Namespace) -> int:
     a = _load_multivector(args)
-    d = compose_inverse(a, default_chain(a.sig.n)).discriminant
+    d = discriminant(a)
     closed: Fraction | None = None
     if args.closed_form:
         closed = discriminant_closed_form(a)  # raises for n = 0 or 5

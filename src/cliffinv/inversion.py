@@ -21,9 +21,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from functools import lru_cache
+from typing import NamedTuple, Optional
 
-from .blades import Signature, blade_square_sign
+from .blades import Signature, blade_square_sign, blade_to_text, product_signs
 from .errors import DimensionMismatch, DimensionOutOfRange, NotInvertible, SubspaceViolation
 from .involutions import (
     GradeSet,
@@ -34,7 +35,7 @@ from .involutions import (
     psi_delta,
     reversion_delta,
 )
-from .multivector import Multivector
+from .multivector import Multivector, int_product
 
 
 @dataclass(frozen=True)
@@ -88,6 +89,7 @@ class InverseResult:
     inverse: Optional[Multivector]
 
 
+@lru_cache(maxsize=None)
 def default_chain(n: int) -> InvolutionChain:
     """The standard chain for each dimension.
 
@@ -107,6 +109,7 @@ def default_chain(n: int) -> InvolutionChain:
     raise DimensionOutOfRange(f"no chain for {n} generators")
 
 
+@lru_cache(maxsize=None)
 def alternate_chain(n: int) -> InvolutionChain:
     """The mirrored chain that exists for three and four generators."""
     if n == 3:
@@ -116,40 +119,151 @@ def alternate_chain(n: int) -> InvolutionChain:
     raise DimensionOutOfRange(f"no alternate chain for {n} generators")
 
 
-def compose_inverse(a: Multivector, chain: InvolutionChain) -> InverseResult:
-    """Run the chain on a, returning the discriminant, factors, and inverse.
+class _ChainPlan(NamedTuple):
+    """A chain compiled for one signature, its closure proven when built.
 
-    Raises SubspaceViolation if an intermediate product escapes the grade
-    set the chain promises, which indicates a broken chain rather than a
-    property of the input.
+    `outside` holds the masks an input may not carry: the grades outside
+    the first domain.  Each step is a pair (domain, rows): `domain` lists
+    the step's domain blades with the sign its map gives each, and a row
+    (i, ((j, m, w), ...)) lists every pair i <= j of domain blades whose
+    terms land on mask m in the step's fixed grades, with integer weight w,
+    so that a * f(a) is the sum of w * a_i * a_j on e_m.  `residue` lists
+    the non-unit masks the last fixed set allows: a nonzero coefficient
+    there means the chain did not end on a scalar.
+    """
+
+    outside: frozenset[int]
+    steps: tuple[tuple[tuple, tuple], ...]
+    residue: tuple[int, ...]
+
+
+def _blades_in(grades: GradeSet, dim: int) -> tuple[int, ...]:
+    return tuple(m for m in range(dim) if m.bit_count() in grades)
+
+
+@lru_cache(maxsize=None)
+def _compile(sig: Signature, chain: InvolutionChain) -> _ChainPlan:
+    """Build the integer plan of a chain, proving each step lands in its fixed grades.
+
+    In a * f(a) the terms of blades i and j combine to a_i a_j (e_i f(e_j) +
+    e_j f(e_i)): weight s(i,i)*delta(i) on the unit when i = j, else
+    s(i,j)*delta(j) + s(j,i)*delta(i) on e_(i^j).  A step is closed exactly
+    when every pair landing outside its fixed grades has weight zero; a
+    chain with a step that is not raises SubspaceViolation, whatever the
+    input.
+    """
+    signs = product_signs(sig)
+    dim = sig.dim
+    running: GradeSet = chain.domains[0] if chain.steps else frozenset(range(sig.n + 1))
+    outside = frozenset(range(dim)) - frozenset(_blades_in(running, dim))
+    steps = []
+    for k, (step, domain) in enumerate(zip(chain.steps, chain.domains), start=1):
+        if step.n != sig.n:
+            raise DimensionMismatch(f"step {k} map covers grades 0..{step.n} but the chain is for {sig}")
+        if not running <= domain:
+            raise SubspaceViolation(
+                f"chain step {k} domain {sorted(domain)} misses grades {sorted(running - domain)} it receives"
+            )
+        fixed = invariant_grades(step, domain)
+        delta = [step.delta[m.bit_count()] for m in range(dim)]
+        blades = _blades_in(domain, dim)
+        rows = []
+        for x, i in enumerate(blades):
+            row = []
+            for j in blades[x:]:
+                if i == j:
+                    w = signs[i * dim + i] * delta[i]
+                else:
+                    w = signs[i * dim + j] * delta[j] + signs[j * dim + i] * delta[i]
+                if not w:
+                    continue
+                m = i ^ j
+                if m.bit_count() not in fixed:
+                    raise SubspaceViolation(
+                        f"chain step {k} sends {blade_to_text(i)}, {blade_to_text(j)} to grade "
+                        f"{m.bit_count()}, outside its fixed grades {sorted(fixed)}"
+                    )
+                row.append((j, m, w))
+            if row:
+                rows.append((i, tuple(row)))
+        steps.append((tuple((b, delta[b]) for b in blades), tuple(rows)))
+        running = fixed
+    return _ChainPlan(outside, tuple(steps), tuple(m for m in _blades_in(running, dim) if m))
+
+
+def _run_chain(a: Multivector, chain: InvolutionChain) -> tuple[list[tuple], int, int]:
+    """Run the chain on integer numerators: a = N / den with N integral.
+
+    Returns, for each step, its plan domain and the numerators entering it
+    (over den**(2**(k-1)) at step k), then the numerator of the final
+    scalar (over den**(2**steps)), and den.
     """
     if chain.n != a.sig.n:
         raise DimensionMismatch(f"chain is for {chain.n} generators, element lives in {a.sig}")
-    cur = a
-    factors: list[Multivector] = []
-    for step, domain in zip(chain.steps, chain.domains):
-        f_cur = step(cur)
-        factors.append(f_cur)
-        cur = cur * f_cur
-        expected = invariant_grades(step, domain)
-        if not cur.support_grades() <= expected:
-            raise SubspaceViolation(
-                f"chain step left grades {sorted(cur.support_grades())}, expected subset of {sorted(expected)}"
-            )
-    if not cur.is_scalar():
+    plan = _compile(a.sig, chain)
+    nums, den = a._int_coeffs()
+    if not plan.outside.isdisjoint(nums):
+        grades = sorted({m.bit_count() for m in nums if m in plan.outside})
+        raise SubspaceViolation(f"element has grades {grades} outside the chain's first domain")
+    cur = [0] * a.sig.dim
+    for m, v in nums.items():
+        cur[m] = v
+    entering = []
+    for domain, rows in plan.steps:
+        entering.append((domain, cur))
+        acc = [0] * a.sig.dim
+        for i, row in rows:
+            ci = cur[i]
+            if ci:
+                for j, m, w in row:
+                    acc[m] += w * ci * cur[j]
+        cur = acc
+    if any(cur[m] for m in plan.residue):
         raise SubspaceViolation("chain did not terminate on a scalar")
-    d = cur.scalar_part()
-    if d == 0:
+    return entering, cur[0], den
+
+
+def compose_inverse(a: Multivector, chain: InvolutionChain) -> InverseResult:
+    """Run the chain on a, returning the discriminant, factors, and inverse.
+
+    Raises SubspaceViolation if the chain can leave the grade sets it
+    promises, or a has terms outside its first domain, which indicates a
+    broken chain rather than a property of the input.
+    """
+    entering, d_num, den = _run_chain(a, chain)
+    sig = a.sig
+    factors: list[Multivector] = []
+    numerators: list[dict[int, int]] = []
+    step_den = den
+    for domain, cur in entering:
+        f_num = {b: s * cur[b] for b, s in domain if cur[b]}
+        if step_den == 1:
+            factors.append(Multivector._make(sig, {b: Fraction(v) for b, v in f_num.items()}))
+        else:
+            factors.append(Multivector._make(sig, {b: Fraction(v, step_den) for b, v in f_num.items()}))
+        numerators.append(f_num)
+        step_den *= step_den
+    d = Fraction(d_num, step_den)
+    if d_num == 0:
         return InverseResult(d, tuple(factors), None)
-    inv = Multivector.scalar(a.sig, Fraction(1, 1) / d)
-    for f in factors:
-        inv = inv * f
+    # a**-1 = (1/D) * f1 * ... * fm; the factor denominators multiply to
+    # den**(2**m - 1) and D's is den**(2**m), leaving den / d_num.
+    product: dict[int, int] = {0: 1}
+    for f_num in numerators:
+        product = dict(enumerate(int_product(product, f_num, sig)))
+    inv = Multivector._make(sig, {m: Fraction(v * den, d_num) for m, v in product.items() if v})
     return InverseResult(d, tuple(factors), inv)
+
+
+def _chain_scalar(a: Multivector, chain: InvolutionChain) -> Fraction:
+    """The chain's final scalar D, without building factors or the inverse."""
+    _, d_num, den = _run_chain(a, chain)
+    return Fraction(d_num, den ** (1 << len(chain.steps)))
 
 
 def discriminant(a: Multivector) -> Fraction:
     """The chain scalar; defined for every element, zero iff not invertible."""
-    return compose_inverse(a, default_chain(a.sig.n)).discriminant
+    return _chain_scalar(a, default_chain(a.sig.n))
 
 
 def inverse(a: Multivector) -> Multivector:
@@ -165,9 +279,7 @@ def verify_d_equals_dprime(a: Multivector) -> bool:
     n = a.sig.n
     if n not in (3, 4):
         raise DimensionOutOfRange(f"alternate chain exists only for 3 or 4 generators, got {n}")
-    d = compose_inverse(a, default_chain(n)).discriminant
-    dprime = compose_inverse(a, alternate_chain(n)).discriminant
-    return d == dprime
+    return discriminant(a) == _chain_scalar(a, alternate_chain(n))
 
 
 # ----------------------------------------------------------------------

@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterator, Mapping, Union
 
 from .blades import Blade, Signature, blade_from_text, blade_order, blade_to_text, product_signs
 from .errors import GradeOutOfRange, SignatureMismatch
@@ -19,6 +19,26 @@ from .errors import GradeOutOfRange, SignatureMismatch
 Scalar = Union[int, Fraction]
 
 _ZERO = Fraction(0)
+
+
+def int_product(a: Mapping[Blade, int], b: Mapping[Blade, int], sig: Signature) -> list[int]:
+    """Geometric product of two integer coefficient maps under a signature.
+
+    This is the package's one multiply-accumulate kernel: every product of
+    multivectors, and the assembly of a chain inverse, runs through it.
+    Returns the coefficient of every blade, indexed by mask, zeros included.
+    """
+    signs = product_signs(sig)
+    dim = sig.dim
+    acc = [0] * dim
+    for ma, ca in a.items():
+        row = ma * dim
+        for mb, cb in b.items():
+            if signs[row + mb] < 0:
+                acc[ma ^ mb] -= ca * cb
+            else:
+                acc[ma ^ mb] += ca * cb
+    return acc
 
 
 class Multivector:
@@ -187,29 +207,16 @@ class Multivector:
         return {m: c.numerator * (den // c.denominator) for m, c in self._c.items()}, den
 
     def _geometric_product(self, other: "Multivector") -> "Multivector":
-        # Hot path: clear denominators once, multiply-accumulate in plain
-        # integers against the precomputed sign table, normalise at the end.
-        sig = self.sig
+        # Clear denominators once, multiply in integers, normalise at the end.
         a, da = self._int_coeffs()
         b, db = other._int_coeffs()
-        signs = product_signs(sig)
-        dim = sig.dim
-        acc: dict[Blade, int] = {}
-        get = acc.get
-        for ma, ca in a.items():
-            row = ma * dim
-            for mb, cb in b.items():
-                v = ca * cb
-                if signs[row + mb] < 0:
-                    v = -v
-                m = ma ^ mb
-                acc[m] = get(m, 0) + v
+        acc = int_product(a, b, self.sig)
         den = da * db
         if den == 1:
-            out = {m: Fraction(v) for m, v in acc.items() if v}
+            out = {m: Fraction(v) for m, v in enumerate(acc) if v}
         else:
-            out = {m: Fraction(v, den) for m, v in acc.items() if v}
-        return Multivector._make(sig, out)
+            out = {m: Fraction(v, den) for m, v in enumerate(acc) if v}
+        return Multivector._make(self.sig, out)
 
     def __pow__(self, exponent: int) -> "Multivector":
         if not isinstance(exponent, int) or exponent < 0:
@@ -282,16 +289,15 @@ class Multivector:
             raw = data.get("coeffs", {})
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed multivector JSON: {exc}") from exc
+        if not isinstance(raw, Mapping):
+            raise ValueError("malformed multivector JSON: coeffs must map blade symbols to rationals")
         sig = Signature(p, q)
         coeffs = {}
         for key, value in raw.items():
             mask = blade_from_text(key, sig.n)
+            if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+                raise ValueError(
+                    f"malformed multivector JSON: coefficient of {key} must be a number or a rational string"
+                )
             coeffs[mask] = Fraction(str(value))
         return cls(sig, coeffs)
-
-
-def multivector_sum(terms: Iterable[Multivector], sig: Signature) -> Multivector:
-    total = Multivector.zero(sig)
-    for t in terms:
-        total = total + t
-    return total

@@ -14,11 +14,11 @@ from typing import Callable, Iterable
 
 from .blades import Signature, blade_square_sign, grade
 from .inversion import (
-    alternate_chain,
     compose_inverse,
     default_chain,
     discriminant,
     discriminant_closed_form,
+    verify_d_equals_dprime,
 )
 from .multivector import Multivector
 from .oracle import oracle_inverse
@@ -111,9 +111,7 @@ def check_d_equals_dprime(sig: Signature, samples: int, seed: int, bound: int) -
     failures = 0
     detail = ""
     for a in _samples(sig, samples, seed, bound):
-        d = compose_inverse(a, default_chain(sig.n)).discriminant
-        dprime = compose_inverse(a, alternate_chain(sig.n)).discriminant
-        if d != dprime:
+        if not verify_d_equals_dprime(a):
             failures += 1
             if not detail:
                 detail = f"chain scalars split on {a}"

@@ -75,6 +75,20 @@ class TestInv:
         code, _, err = run(capsys, "inv", "-p", "1", "-q", "1", "--file", str(path))
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "coeffs",
+        [[1, 2], "1+e1", 3, {"1": True}, {"1": None}, {"e1": [1]}],
+        ids=["list", "string", "number", "true", "null", "nested"],
+    )
+    def test_malformed_file_coeffs_exit_one(self, capsys, tmp_path, coeffs):
+        path = tmp_path / "mv.json"
+        path.write_text(json.dumps({"p": 0, "q": 2, "coeffs": coeffs}))
+        code, out, err = run(capsys, "inv", "--file", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("cliffinv: malformed multivector JSON")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_unknown_command_exits_one(self, capsys):
         assert run(capsys, "frobnicate")[0] == 1
 

@@ -11,6 +11,7 @@ from cliffinv import (
     NotInvertible,
     Signature,
     SubspaceViolation,
+    blade_square_sign,
     alternate_chain,
     compose_inverse,
     conjugation,
@@ -19,6 +20,7 @@ from cliffinv import (
     discriminant,
     discriminant_closed_form,
     grade_involution,
+    grade_involution_delta,
     inverse,
     oracle_inverse,
     psi,
@@ -151,6 +153,76 @@ class TestComposeInverse:
         a = Multivector(Signature(0, 3), {0: 1, 0b001: 1})
         with pytest.raises(SubspaceViolation):
             compose_inverse(a, chain)
+
+    def test_map_not_reversing_products_raises_subspace_violation(self):
+        # The grade involution is an automorphism, not an anti-automorphism:
+        # e1 * main(e12) + e12 * main(e1) = 2*e1*e12 lands on grade 1, which
+        # main negates.  The plan proof rejects the chain for every input.
+        chain = self._unchecked_chain(
+            3, (grade_involution_delta(3),), (frozenset({0, 1, 2, 3}),)
+        )
+        sig = Signature(0, 3)
+        for a in (Multivector(sig, {0b001: 1, 0b011: 1}), Multivector.unit(sig)):
+            with pytest.raises(SubspaceViolation):
+                compose_inverse(a, chain)
+
+
+def _reference_chain(a, chain):
+    """compose_inverse step by step through the public map and product."""
+    cur = a
+    factors = []
+    for step in chain.steps:
+        f = step(cur)
+        factors.append(f)
+        cur = cur * f
+    assert cur.is_scalar()
+    d = cur.scalar_part()
+    inv = None
+    if d:
+        inv = Multivector.scalar(a.sig, 1 / d)
+        for f in factors:
+            inv = inv * f
+    return d, tuple(factors), inv
+
+
+def _kernel_samples(sig, seed):
+    """Dense integer, dense rational, sparse rational and zero-divisor elements."""
+    rng = random.Random(f"kernel|{sig}|{seed}")
+    out = [rnd(sig, rng.randrange(10**6)) for _ in range(2)]
+    for _ in range(2):
+        out.append(
+            Multivector(sig, {m: Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for m in range(sig.dim)})
+        )
+    for terms in range(1, 5):
+        masks = rng.sample(range(sig.dim), min(terms, sig.dim))
+        out.append(Multivector(sig, {m: Fraction(rng.randint(-7, 7) or 1, rng.randint(1, 5)) for m in masks}))
+    out.append(Multivector.zero(sig))
+    out.extend(Multivector(sig, {0: 1, b: 1}) for b in range(1, sig.dim) if blade_square_sign(b, sig) == 1)
+    return out
+
+
+class TestKernelEquivalence:
+    """The compiled integer plan equals the step-by-step Fraction chain."""
+
+    @pytest.mark.parametrize("sig", all_signatures(), ids=str)
+    def test_matches_reference_chain(self, sig):
+        chains = [default_chain(sig.n)]
+        if sig.n in (3, 4):
+            chains.append(alternate_chain(sig.n))
+        samples = _kernel_samples(sig, 0)
+        for chain in chains:
+            for a in samples:
+                d, factors, inv = _reference_chain(a, chain)
+                result = compose_inverse(a, chain)
+                assert (result.discriminant, result.factors, result.inverse) == (d, factors, inv)
+        for a in samples:
+            assert discriminant(a) == _reference_chain(a, chains[0])[0]
+
+    def test_chains_are_built_once(self):
+        for n in range(6):
+            assert default_chain(n) is default_chain(n)
+        for n in (3, 4):
+            assert alternate_chain(n) is alternate_chain(n)
 
 
 class TestInverse:

@@ -123,17 +123,16 @@ class _ChainPlan(NamedTuple):
     """A chain compiled for one signature, its closure proven when built.
 
     `outside` holds the masks an input may not carry: the grades outside
-    the first domain.  Each step is a pair (domain, rows): `domain` lists
-    the step's domain blades with the sign its map gives each, and a row
-    (i, ((j, m, w), ...)) lists every pair i <= j of domain blades whose
-    terms land on mask m in the step's fixed grades, with integer weight w,
-    so that a * f(a) is the sum of w * a_i * a_j on e_m.  `residue` lists
-    the non-unit masks the last fixed set allows: a nonzero coefficient
-    there means the chain did not end on a scalar.
+    the first domain.  Each step is a tuple of rows; a row
+    (i, ((j, m, w), ...)) lists every pair i <= j of the step's domain
+    blades whose terms land on mask m in its fixed grades, with integer
+    weight w, so that a * f(a) is the sum of w * a_i * a_j on e_m.
+    `residue` lists the non-unit masks the last fixed set allows: a nonzero
+    coefficient there means the chain did not end on a scalar.
     """
 
     outside: frozenset[int]
-    steps: tuple[tuple[tuple, tuple], ...]
+    steps: tuple[tuple[tuple[int, tuple[tuple[int, int, int], ...]], ...], ...]
     residue: tuple[int, ...]
 
 
@@ -186,17 +185,17 @@ def _compile(sig: Signature, chain: InvolutionChain) -> _ChainPlan:
                 row.append((j, m, w))
             if row:
                 rows.append((i, tuple(row)))
-        steps.append((tuple((b, delta[b]) for b in blades), tuple(rows)))
+        steps.append(tuple(rows))
         running = fixed
     return _ChainPlan(outside, tuple(steps), tuple(m for m in _blades_in(running, dim) if m))
 
 
-def _run_chain(a: Multivector, chain: InvolutionChain) -> tuple[list[tuple], int, int]:
+def _run_chain(a: Multivector, chain: InvolutionChain) -> tuple[list[list[int]], int, int]:
     """Run the chain on integer numerators: a = N / den with N integral.
 
-    Returns, for each step, its plan domain and the numerators entering it
-    (over den**(2**(k-1)) at step k), then the numerator of the final
-    scalar (over den**(2**steps)), and den.
+    Returns the numerators entering each step, indexed by mask (over
+    den**(2**(k-1)) at step k), the numerator of the final scalar (over
+    den**(2**steps)), and den.
     """
     if chain.n != a.sig.n:
         raise DimensionMismatch(f"chain is for {chain.n} generators, element lives in {a.sig}")
@@ -209,8 +208,8 @@ def _run_chain(a: Multivector, chain: InvolutionChain) -> tuple[list[tuple], int
     for m, v in nums.items():
         cur[m] = v
     entering = []
-    for domain, rows in plan.steps:
-        entering.append((domain, cur))
+    for rows in plan.steps:
+        entering.append(cur)
         acc = [0] * a.sig.dim
         for i, row in rows:
             ci = cur[i]
@@ -233,26 +232,22 @@ def compose_inverse(a: Multivector, chain: InvolutionChain) -> InverseResult:
     entering, d_num, den = _run_chain(a, chain)
     sig = a.sig
     factors: list[Multivector] = []
-    numerators: list[dict[int, int]] = []
     step_den = den
-    for domain, cur in entering:
-        f_num = {b: s * cur[b] for b, s in domain if cur[b]}
-        if step_den == 1:
-            factors.append(Multivector._make(sig, {b: Fraction(v) for b, v in f_num.items()}))
-        else:
-            factors.append(Multivector._make(sig, {b: Fraction(v, step_den) for b, v in f_num.items()}))
-        numerators.append(f_num)
+    for step, cur in zip(chain.steps, entering):
+        a_k = Multivector._from_ints(sig, enumerate(cur), step_den) if factors else a
+        factors.append(step(a_k))
         step_den *= step_den
     d = Fraction(d_num, step_den)
     if d_num == 0:
         return InverseResult(d, tuple(factors), None)
-    # a**-1 = (1/D) * f1 * ... * fm; the factor denominators multiply to
-    # den**(2**m - 1) and D's is den**(2**m), leaving den / d_num.
-    product: dict[int, int] = {0: 1}
-    for f_num in numerators:
+    # a**-1 = (1/D) * f1 * ... * fm, where 1/D = den**(2**m) / d_num.
+    product = {0: step_den}
+    inv_den = d_num
+    for f in factors:
+        f_num, f_den = f._int_coeffs()
         product = dict(enumerate(int_product(product, f_num, sig)))
-    inv = Multivector._make(sig, {m: Fraction(v * den, d_num) for m, v in product.items() if v})
-    return InverseResult(d, tuple(factors), inv)
+        inv_den *= f_den
+    return InverseResult(d, tuple(factors), Multivector._from_ints(sig, product.items(), inv_den))
 
 
 def _chain_scalar(a: Multivector, chain: InvolutionChain) -> Fraction:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from math import gcd
-from typing import Iterator, Mapping, Union
+from typing import Iterable, Iterator, Mapping, Union
 
 from .blades import Blade, Signature, blade_from_text, blade_order, blade_to_text, product_signs
 from .errors import GradeOutOfRange, SignatureMismatch
@@ -65,6 +65,13 @@ class Multivector:
         mv.sig = sig
         mv._c = clean
         return mv
+
+    @classmethod
+    def _from_ints(cls, sig: Signature, nums: Iterable[tuple[Blade, int]], den: int) -> "Multivector":
+        """Trusted constructor from (mask, integer numerator) pairs over one denominator."""
+        if den == 1:
+            return cls._make(sig, {m: Fraction(v) for m, v in nums if v})
+        return cls._make(sig, {m: Fraction(v, den) for m, v in nums if v})
 
     # ------------------------------------------------------------------
     # Constructors
@@ -210,13 +217,7 @@ class Multivector:
         # Clear denominators once, multiply in integers, normalise at the end.
         a, da = self._int_coeffs()
         b, db = other._int_coeffs()
-        acc = int_product(a, b, self.sig)
-        den = da * db
-        if den == 1:
-            out = {m: Fraction(v) for m, v in enumerate(acc) if v}
-        else:
-            out = {m: Fraction(v, den) for m, v in enumerate(acc) if v}
-        return Multivector._make(self.sig, out)
+        return Multivector._from_ints(self.sig, enumerate(int_product(a, b, self.sig)), da * db)
 
     def __pow__(self, exponent: int) -> "Multivector":
         if not isinstance(exponent, int) or exponent < 0:

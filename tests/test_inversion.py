@@ -11,8 +11,8 @@ from cliffinv import (
     NotInvertible,
     Signature,
     SubspaceViolation,
-    blade_square_sign,
     alternate_chain,
+    blade_square_sign,
     compose_inverse,
     conjugation,
     conjugation_delta,

@@ -10,7 +10,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
+from typing import Iterator
 
 from .bench import run_bench
 from .blades import Signature
@@ -109,6 +111,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextmanager
+def _unlimited_int_digits() -> Iterator[None]:
+    """Lift Python's int-to-str digit limit while exact results are printed.
+
+    Parsing keeps the limit: only output that the tool has already computed
+    exactly is formatted without it.
+    """
+    get = getattr(sys, "get_int_max_str_digits", None)
+    if get is None:  # interpreters without the limit
+        yield
+        return
+    previous = get()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(previous)
+
+
 def _signature_from(args: argparse.Namespace) -> Signature:
     return Signature(args.p or 0, args.q or 0)
 
@@ -130,21 +151,22 @@ def _load_multivector(args: argparse.Namespace) -> Multivector:
 def _cmd_inv(args: argparse.Namespace) -> int:
     a = _load_multivector(args)
     result = compose_inverse(a, default_chain(a.sig.n))
-    if args.json:
-        payload = {
-            "D": str(result.discriminant),
-            "factors": [f.to_json_dict() for f in result.factors],
-            "inverse": None if result.inverse is None else result.inverse.to_json_dict(),
-        }
-        print(json.dumps(payload))
-    else:
-        print(f"D = {result.discriminant}")
-        for i, f in enumerate(result.factors, start=1):
-            print(f"factor {i} = {f}")
-        if result.inverse is None:
-            print("not invertible, D = 0")
+    with _unlimited_int_digits():
+        if args.json:
+            payload = {
+                "D": str(result.discriminant),
+                "factors": [f.to_json_dict() for f in result.factors],
+                "inverse": None if result.inverse is None else result.inverse.to_json_dict(),
+            }
+            print(json.dumps(payload))
         else:
-            print(f"inverse = {result.inverse}")
+            print(f"D = {result.discriminant}")
+            for i, f in enumerate(result.factors, start=1):
+                print(f"factor {i} = {f}")
+            if result.inverse is None:
+                print("not invertible, D = 0")
+            else:
+                print(f"inverse = {result.inverse}")
     return EXIT_OK if result.inverse is not None else EXIT_NOT_INVERTIBLE
 
 
@@ -154,17 +176,18 @@ def _cmd_disc(args: argparse.Namespace) -> int:
     closed: Fraction | None = None
     if args.closed_form:
         closed = discriminant_closed_form(a)  # raises for n = 0 or 5
-    if args.json:
-        payload: dict = {"D": str(d)}
-        if closed is not None:
-            payload["closed_form"] = str(closed)
-            payload["match"] = closed == d
-        print(json.dumps(payload))
-    else:
-        print(f"D = {d}")
-        if closed is not None:
-            print(f"closed form = {closed}")
-            print("match" if closed == d else "MISMATCH")
+    with _unlimited_int_digits():
+        if args.json:
+            payload: dict = {"D": str(d)}
+            if closed is not None:
+                payload["closed_form"] = str(closed)
+                payload["match"] = closed == d
+            print(json.dumps(payload))
+        else:
+            print(f"D = {d}")
+            if closed is not None:
+                print(f"closed form = {closed}")
+                print("match" if closed == d else "MISMATCH")
     if closed is not None and closed != d:
         return EXIT_VERIFY_FAILED
     return EXIT_OK
@@ -173,7 +196,8 @@ def _cmd_disc(args: argparse.Namespace) -> int:
 def _cmd_map(args: argparse.Namespace) -> int:
     a = _load_multivector(args)
     image = NAMED_DELTAS[args.name](a.sig.n)(a)
-    print(json.dumps(image.to_json_dict()) if args.json else str(image))
+    with _unlimited_int_digits():
+        print(json.dumps(image.to_json_dict()) if args.json else str(image))
     return EXIT_OK
 
 

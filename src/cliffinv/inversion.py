@@ -291,18 +291,20 @@ def discriminant_closed_form(a: Multivector) -> Fraction:
     """Evaluate the explicit discriminant polynomial on a's coefficients.
 
     Available for 1..4 generators; agrees with the chain scalar
-    `discriminant` everywhere (this identity is aggressively tested).
+    `discriminant` everywhere (this identity is aggressively tested).  The
+    polynomial is homogeneous, of degree 2 for one and two generators and
+    4 for three and four, so it runs on the integer numerators N = den * a
+    and the result is divided by den**degree once.
     """
     n = a.sig.n
-    if n == 1:
-        return _closed_form_1(a)
-    if n == 2:
-        return _closed_form_2(a)
-    if n == 3:
-        return _closed_form_3(a)
-    if n == 4:
-        return _closed_form_4(a)
-    raise DimensionOutOfRange(f"closed form exists for 1..4 generators, got {n}")
+    if not 1 <= n <= 4:
+        raise DimensionOutOfRange(f"closed form exists for 1..4 generators, got {n}")
+    nums, den = a._int_coeffs()
+    x = [0] * a.sig.dim
+    for m, v in nums.items():
+        x[m] = v
+    form, degree = _CLOSED_FORMS[n]
+    return Fraction(form(x, a.sig), den**degree)
 
 
 def _metric_product(sig: Signature, mask: int) -> int:
@@ -310,77 +312,77 @@ def _metric_product(sig: Signature, mask: int) -> int:
     return -1 if (mask & sig.neg_mask).bit_count() & 1 else 1
 
 
-def _closed_form_1(a: Multivector) -> Fraction:
-    x = a.coeff
-    e1sq = a.sig.square(1)
-    return x(0) ** 2 - x(1) ** 2 * e1sq
+def _closed_form_1(x: list[int], sig: Signature) -> int:
+    return x[0] ** 2 - x[1] ** 2 * sig.square(1)
 
 
-def _closed_form_2(a: Multivector) -> Fraction:
-    x = a.coeff
-    sq = a.sig.square
+def _closed_form_2(x: list[int], sig: Signature) -> int:
+    sq = sig.square
     return (
-        x(0b00) ** 2
-        - x(0b01) ** 2 * sq(1)
-        - x(0b10) ** 2 * sq(2)
-        + x(0b11) ** 2 * sq(1) * sq(2)
+        x[0b00] ** 2
+        - x[0b01] ** 2 * sq(1)
+        - x[0b10] ** 2 * sq(2)
+        + x[0b11] ** 2 * sq(1) * sq(2)
     )
 
 
-def _diagonal_sum(a: Multivector, e: int) -> Fraction:
+def _diagonal_sum(x: list[int], sig: Signature, e: int) -> int:
     """Sum over all blades b of x_b^2 * x_{b XOR e}^2, times e's scalar square."""
-    x = a.coeff
-    total = sum((x(b) * x(b ^ e)) ** 2 for b in range(a.sig.dim))
-    return total * blade_square_sign(e, a.sig)
+    total = sum((x[b] * x[b ^ e]) ** 2 for b in range(sig.dim))
+    return total * blade_square_sign(e, sig)
 
 
-def _closed_form_3(a: Multivector) -> Fraction:
-    x = a.coeff
-    sig = a.sig
+def _closed_form_3(x: list[int], sig: Signature) -> int:
     plus = {0b000, 0b111}
-    total = Fraction(0)
+    total = 0
     for e in range(8):
-        c = _diagonal_sum(a, e)
+        c = _diagonal_sum(x, sig, e)
         total = total + c if e in plus else total - c
-    cross = x(0b000) * x(0b111) - x(0b001) * x(0b110) + x(0b010) * x(0b101) - x(0b100) * x(0b011)
+    cross = x[0b000] * x[0b111] - x[0b001] * x[0b110] + x[0b010] * x[0b101] - x[0b100] * x[0b011]
     total += 4 * cross**2 * _metric_product(sig, 0b111)
     return total
 
 
-def _pair_square_term(a: Multivector, i: int, j: int, k: int, l: int) -> Fraction:
+def _pair_square_term(x: list[int], sig: Signature, i: int, j: int, k: int, l: int) -> int:
     """The 4*(t1^2 + t2^2)*e_i^2 e_j^2 e_k^2 building block of the 4-generator form."""
-    x = a.coeff
-    sig = a.sig
     mi, mj, mk, ml = 1 << (i - 1), 1 << (j - 1), 1 << (k - 1), 1 << (l - 1)
-    t1 = x(0) * x(mi | mj | mk) - x(mi) * x(mj | mk) - x(mj) * x(mi | mk) + x(mk) * x(mi | mj)
+    t1 = x[0] * x[mi | mj | mk] - x[mi] * x[mj | mk] - x[mj] * x[mi | mk] + x[mk] * x[mi | mj]
     t2 = (
-        x(ml) * x(0b1111)
-        - x(mi | ml) * x(mj | mk | ml)
-        - x(mj | ml) * x(mi | mk | ml)
-        + x(mk | ml) * x(mi | mj | ml)
+        x[ml] * x[0b1111]
+        - x[mi | ml] * x[mj | mk | ml]
+        - x[mj | ml] * x[mi | mk | ml]
+        + x[mk | ml] * x[mi | mj | ml]
     )
     return 4 * (t1**2 + t2**2) * (sig.square(i) * sig.square(j) * sig.square(k))
 
 
-def _closed_form_4(a: Multivector) -> Fraction:
-    x = a.coeff
-    sig = a.sig
+def _closed_form_4(x: list[int], sig: Signature) -> int:
     plus = {0b0000, 0b0111, 0b1011, 0b1101, 0b1110, 0b1111}
-    total = Fraction(0)
+    total = 0
     for e in range(16):
-        c = _diagonal_sum(a, e)
+        c = _diagonal_sum(x, sig, e)
         total = total + c if e in plus else total - c
     total += (
-        _pair_square_term(a, 1, 3, 2, 4)
-        + _pair_square_term(a, 1, 4, 2, 3)
-        + _pair_square_term(a, 1, 4, 3, 2)
-        + _pair_square_term(a, 2, 4, 3, 1)
+        _pair_square_term(x, sig, 1, 3, 2, 4)
+        + _pair_square_term(x, sig, 1, 4, 2, 3)
+        + _pair_square_term(x, sig, 1, 4, 3, 2)
+        + _pair_square_term(x, sig, 2, 4, 3, 1)
     )
     cross_even = (
-        x(0b0000) * x(0b1111) - x(0b0011) * x(0b1100) + x(0b0101) * x(0b1010) - x(0b1001) * x(0b0110)
+        x[0b0000] * x[0b1111] - x[0b0011] * x[0b1100] + x[0b0101] * x[0b1010] - x[0b1001] * x[0b0110]
     )
     cross_odd = (
-        x(0b0001) * x(0b1110) - x(0b0010) * x(0b1101) + x(0b0100) * x(0b1011) - x(0b1000) * x(0b0111)
+        x[0b0001] * x[0b1110] - x[0b0010] * x[0b1101] + x[0b0100] * x[0b1011] - x[0b1000] * x[0b0111]
     )
     total -= 4 * (cross_even**2 + cross_odd**2) * _metric_product(sig, 0b1111)
     return total
+
+
+# Each closed form with its degree, which is also the power of the cleared
+# denominator it carries.
+_CLOSED_FORMS = {
+    1: (_closed_form_1, 2),
+    2: (_closed_form_2, 2),
+    3: (_closed_form_3, 4),
+    4: (_closed_form_4, 4),
+}

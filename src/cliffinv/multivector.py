@@ -286,10 +286,14 @@ class Multivector:
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "Multivector":
         try:
-            p, q = int(data["p"]), int(data["q"])
+            p, q = data["p"], data["q"]
             raw = data.get("coeffs", {})
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed multivector JSON: {exc}") from exc
+        for name, count in (("p", p), ("q", q)):
+            # type() rather than isinstance(): JSON true and false load as bools.
+            if type(count) is not int or count < 0:
+                raise ValueError(f"malformed multivector JSON: {name} must be a nonnegative integer, got {count!r}")
         if not isinstance(raw, Mapping):
             raise ValueError("malformed multivector JSON: coeffs must map blade symbols to rationals")
         sig = Signature(p, q)

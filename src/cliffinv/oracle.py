@@ -5,8 +5,9 @@ coefficients; its matrix is singular exactly when the element is not
 invertible, and solving M x = vec(1) recovers the inverse.  Everything here
 is exact: the elimination is the fraction-free (division-free growth)
 variant of Gaussian elimination over the integers with first-nonzero
-pivoting, after clearing denominators, and the back substitution divides
-exactly.  No floating point is used anywhere.
+pivoting, after clearing denominators, and the back substitution stays in
+the integers too, scaled by the determinant so that it divides exactly.
+No floating point is used anywhere.
 
 This module deliberately shares no code with the chain-based inversion it
 is used to verify, beyond the blade product itself.
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .blades import Signature, blade_order, product_signs
+from .blades import blade_order, product_signs
 from .multivector import Multivector
 
 
@@ -40,18 +41,11 @@ def _basis_index(n: int) -> dict[int, int]:
 
 def regular_matrix(a: Multivector) -> RegularMatrix:
     """M(a) with M(a) . vec(b) = vec(a*b); an algebra homomorphism in a."""
-    sig = a.sig
-    n = sig.n
-    dim = sig.dim
-    basis = blade_order(n)
-    index = _basis_index(n)
-    signs = product_signs(sig)
-    rows = [[Fraction(0)] * dim for _ in range(dim)]
-    for j, mb in enumerate(basis):
-        for ma, ca in a.items():
-            s = signs[ma * dim + mb]
-            rows[index[ma ^ mb]][j] = ca if s > 0 else -ca
-    return RegularMatrix(dim, tuple(tuple(r) for r in rows), basis)
+    rows, den = _int_rows(a)
+    # The 4^n cells hold only 0 and the +-numerators: one Fraction per value.
+    frac = {x: Fraction(x, den) for x in {x for row in rows for x in row}}
+    entries = tuple(tuple(map(frac.__getitem__, row)) for row in rows)
+    return RegularMatrix(len(rows), entries, blade_order(a.sig.n))
 
 
 def _int_rows(a: Multivector) -> tuple[list[list[int]], int]:
@@ -88,17 +82,18 @@ def _eliminate(rows: list[list[int]], width: int) -> bool:
             return False
         if pivot_row != k:
             rows[k], rows[pivot_row] = rows[pivot_row], rows[k]
-        akk = rows[k][k]
         rk = rows[k]
+        akk = rk[k]
+        cols = range(k + 1, width)
         for i in range(k + 1, m):
             ri = rows[i]
             aik = ri[k]
             if aik:
-                for j in range(k + 1, width):
+                for j in cols:
                     ri[j] = (ri[j] * akk - aik * rk[j]) // prev
                 ri[k] = 0
-            elif prev != 1 or akk != 1:
-                for j in range(k + 1, width):
+            elif akk != prev:
+                for j in cols:
                     ri[j] = (ri[j] * akk) // prev
         prev = akk
     return True
@@ -121,14 +116,16 @@ def oracle_inverse(a: Multivector) -> Optional[Multivector]:
         row.append(1 if i == 0 else 0)
     if not _eliminate(rows, dim + 1):
         return None
-    x = [Fraction(0)] * dim
+    # Cramer's rule: det * x is integral, where det is the last pivot, so back
+    # substitution on y = det * x divides exactly.
+    det = rows[dim - 1][dim - 1]
+    y = [0] * dim
     for i in range(dim - 1, -1, -1):
         ri = rows[i]
-        s = Fraction(ri[dim])
+        s = det * ri[dim]
         for j in range(i + 1, dim):
             if ri[j]:
-                s -= ri[j] * x[j]
-        x[i] = s / ri[i]
+                s -= ri[j] * y[j]
+        y[i] = s // ri[i]
     # Solving with denominators cleared scales the solution down by den.
-    coeffs = {basis[i]: x[i] * den for i in range(dim) if x[i]}
-    return Multivector(sig, coeffs)
+    return Multivector._from_ints(sig, ((basis[i], v * den) for i, v in enumerate(y)), det)

@@ -1,4 +1,5 @@
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -89,6 +90,42 @@ class TestInv:
         assert err.startswith("cliffinv: malformed multivector JSON")
         assert err.count("\n") == 1 and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "p", [True, 1.9, "2", None, -1], ids=["true", "float", "string", "null", "negative"]
+    )
+    def test_malformed_file_signature_exit_one(self, capsys, tmp_path, p):
+        path = tmp_path / "mv.json"
+        path.write_text(json.dumps({"p": p, "q": 1, "coeffs": {"1": 2}}))
+        code, out, err = run(capsys, "inv", "--file", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("cliffinv: malformed multivector JSON: p must be a nonnegative integer")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_result_beyond_int_str_limit_prints(self, capsys, fmt):
+        # 10^5000 has 5001 digits, past Python's default 4300-digit limit on
+        # int-to-str conversion; the limit is lifted for output only.
+        limit = sys.get_int_max_str_digits()
+        big = "1" + "0" * 5000
+        flags = ["--json"] if fmt == "json" else []
+        code, out, err = run(capsys, "inv", "-p", "0", "-q", "0", *flags, "10^5000")
+        assert (code, err) == (0, "")
+        if fmt == "json":
+            assert json.loads(out) == {
+                "D": big,
+                "factors": [],
+                "inverse": {"p": 0, "q": 0, "coeffs": {"1": f"1/{big}"}},
+            }
+        else:
+            assert out == f"D = {big}\ninverse = 1/{big}\n"
+        assert sys.get_int_max_str_digits() == limit
+
+    def test_literal_beyond_int_str_limit_exits_one(self, capsys):
+        code, out, err = run(capsys, "inv", "-p", "0", "-q", "0", "1" * 5000)
+        assert (code, out) == (1, "")
+        assert "limit" in err and err.count("\n") == 1
+
     def test_unknown_command_exits_one(self, capsys):
         assert run(capsys, "frobnicate")[0] == 1
 
@@ -115,6 +152,12 @@ class TestDisc:
     def test_json(self, capsys):
         code, out, _ = run(capsys, "disc", "--json", "-p", "0", "-q", "1", "2+e1")
         assert json.loads(out) == {"D": "3"}
+
+    def test_result_beyond_int_str_limit_prints(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        code, out, err = run(capsys, "disc", "-p", "0", "-q", "0", "10^5000")
+        assert (code, out, err) == (0, "D = 1" + "0" * 5000 + "\n", "")
+        assert sys.get_int_max_str_digits() == limit
 
 
 class TestMap:
@@ -230,10 +273,13 @@ GOLDEN = json.loads((Path(__file__).parent / "data" / "golden_cli.json").read_te
 
 
 class TestGoldenCorpus:
-    """inv, inv --json and disc on 40 fixed inputs over all 21 signatures.
+    """inv, inv --json and disc on 40 fixed inputs over all 21 signatures,
+    then disc --closed-form (text and --json) on integer, rational and
+    zero-divisor inputs over every signature with 1 <= n <= 4.
 
-    The stdout and exit codes were recorded before the chain was compiled
-    into integer plans; any change to them must be deliberate.
+    The first 120 cases were recorded before the chain was compiled into
+    integer plans, the closed-form cases before the closed form ran on
+    integers; any change to them must be deliberate.
     """
 
     @pytest.mark.parametrize(

@@ -319,6 +319,22 @@ class TestClosedForm:
         a = rnd(sig, 123).scale(Fraction(1, 6)) + Multivector.scalar(sig, Fraction(2, 7))
         assert discriminant_closed_form(a) == discriminant(a)
 
+    @pytest.mark.parametrize("sig", all_signatures(1, 4), ids=str)
+    def test_rational_dense_matches_chain_scalar(self, sig):
+        # The polynomial runs on integer numerators; the cleared denominator
+        # must come back as den**2 (n <= 2) or den**4 (n = 3, 4).
+        rng = random.Random(f"closed-form|{sig}")
+        zero_divisor = next(
+            (Multivector(sig, {0: 1, b: 1}) for b in range(1, sig.dim) if blade_square_sign(b, sig) == 1),
+            Multivector.zero(sig),
+        )
+        for _ in range(12):
+            a = Multivector(sig, {m: Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for m in range(sig.dim)})
+            assert discriminant_closed_form(a) == discriminant(a)
+            assert discriminant_closed_form(zero_divisor * a) == discriminant(zero_divisor * a) == 0
+            one_rational = rnd(sig, rng.randrange(10**6)) + Multivector.blade(sig, sig.dim - 1, Fraction(1, 7))
+            assert discriminant_closed_form(one_rational) == discriminant(one_rational)
+
     def test_out_of_range(self):
         with pytest.raises(DimensionOutOfRange):
             discriminant_closed_form(Multivector.scalar(Signature(0, 0), 3))

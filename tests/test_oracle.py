@@ -4,11 +4,14 @@ from fractions import Fraction
 from cliffinv import (
     Multivector,
     Signature,
+    compose_inverse,
+    default_chain,
     discriminant,
     oracle_inverse,
     oracle_is_invertible,
     regular_matrix,
 )
+from cliffinv.oracle import _eliminate, _int_rows
 
 from conftest import all_signatures
 
@@ -118,3 +121,63 @@ class TestOracleIsInvertible:
             for _ in range(6):
                 a = rnd(sig, rng.randrange(10**6), 3)
                 assert oracle_is_invertible(a) == (discriminant(a) != 0)
+
+
+def _elimination_profile(a):
+    """(row swaps, last pivot) of the oracle's elimination on a's augmented matrix."""
+
+    class Rows(list):
+        writes = 0
+
+        def __setitem__(self, i, row):
+            self.writes += 1
+            super().__setitem__(i, row)
+
+    int_rows, _ = _int_rows(a)
+    rows = Rows(row + [1 if i == 0 else 0] for i, row in enumerate(int_rows))
+    if not _eliminate(rows, len(rows) + 1):
+        return rows.writes // 2, 0
+    return rows.writes // 2, rows[-1][-2]
+
+
+def _integer_path_samples(sig, rng):
+    """Dense rational, sparse rational and pure non-scalar elements."""
+    out = [
+        Multivector(sig, {m: Fraction(rng.randint(-9, 9), rng.randint(2, 9)) for m in range(sig.dim)})
+        for _ in range(3)
+    ]
+    for terms in (1, 2, 3):
+        masks = rng.sample(range(sig.dim), min(terms, sig.dim))
+        out.append(Multivector(sig, {m: Fraction(rng.randint(-7, 7) or 1, rng.randint(1, 5)) for m in masks}))
+    # No scalar part: the first pivot column starts with a zero, forcing a swap.
+    out.append(Multivector(sig, {sig.dim - 1: Fraction(-3, 2)}))
+    return out
+
+
+class TestOracleIntegerBackSubstitution:
+    """The Cramer-scaled integer back substitution gives the exact inverse."""
+
+    def test_matches_chain_inverse_on_every_signature(self):
+        rng = random.Random(12)
+        swapped = negative_pivot = rational = 0
+        for sig in all_signatures():
+            one = Multivector.unit(sig)
+            for a in _integer_path_samples(sig, rng):
+                x = oracle_inverse(a)
+                chain = compose_inverse(a, default_chain(sig.n)).inverse
+                assert x == chain
+                if x is not None:
+                    assert a * x == x * a == one
+                swaps, last_pivot = _elimination_profile(a)
+                swapped += swaps > 0
+                negative_pivot += last_pivot < 0
+                rational += any(c.denominator != 1 for _, c in a.items())
+        # The samples reach the paths the integer solve has to get right.
+        assert swapped and negative_pivot and rational
+
+    def test_negative_last_pivot(self):
+        # e1 in Cl(1,0) squares to -1: M = [[0, -1], [1, 0]]; one swap gives
+        # U = [[1, 0], [0, -1]], so det = -1 and the inverse is -e1.
+        a = Multivector.blade(Signature(1, 0), 1)
+        assert _elimination_profile(a) == (1, -1)
+        assert oracle_inverse(a) == Multivector.blade(Signature(1, 0), 1, -1)

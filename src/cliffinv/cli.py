@@ -14,7 +14,6 @@ from contextlib import contextmanager
 from fractions import Fraction
 from typing import Iterator
 
-from .bench import run_bench
 from .blades import Signature
 from .errors import CliffordError, LexError, NotInvertible, ParseError
 from .inversion import (
@@ -26,7 +25,6 @@ from .inversion import (
 from .involutions import NAMED_DELTAS, delta_solutions, named_map_matches
 from .multivector import Multivector
 from .parsing import parse_expression
-from .verify import all_signatures, run_verification
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -228,6 +226,9 @@ def _cmd_delta_search(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    # Imported here, like bench below, so that the other commands do not load them.
+    from .verify import all_signatures, run_verification
+
     if args.p is None and args.q is None:
         signatures = all_signatures()
     else:
@@ -261,6 +262,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
+    from .bench import run_bench
+
     sig = _signature_from(args)
     report = run_bench(sig, args.samples, args.seed, args.bound, args.include_float)
     if args.json:

@@ -154,31 +154,25 @@ class Multivector:
         if self.sig != other.sig:
             raise SignatureMismatch(f"cannot combine {self.sig} and {other.sig} elements")
 
-    def __add__(self, other: "Multivector") -> "Multivector":
+    def _combine(self, other: "Multivector", sign: int) -> "Multivector":
+        """self + sign * other, sign being +1 or -1."""
         if not isinstance(other, Multivector):
             return NotImplemented
         self._require_same_sig(other)
         out = dict(self._c)
         for m, c in other._c.items():
-            s = out.get(m, _ZERO) + c
+            s = out.get(m, _ZERO) + c if sign > 0 else out.get(m, _ZERO) - c
             if s:
                 out[m] = s
             else:
                 out.pop(m, None)
         return Multivector._make(self.sig, out)
 
+    def __add__(self, other: "Multivector") -> "Multivector":
+        return self._combine(other, 1)
+
     def __sub__(self, other: "Multivector") -> "Multivector":
-        if not isinstance(other, Multivector):
-            return NotImplemented
-        self._require_same_sig(other)
-        out = dict(self._c)
-        for m, c in other._c.items():
-            s = out.get(m, _ZERO) - c
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
-        return Multivector._make(self.sig, out)
+        return self._combine(other, -1)
 
     def __neg__(self) -> "Multivector":
         return Multivector._make(self.sig, {m: -c for m, c in self._c.items()})

@@ -1,25 +1,44 @@
 """Independent ground truth: the left-regular matrix representation.
 
 Left multiplication by a fixed element is a linear map on the 2^n blade
-coefficients; its matrix is singular exactly when the element is not
-invertible, and solving M x = vec(1) recovers the inverse.  Everything here
-is exact: the elimination is the fraction-free (division-free growth)
+coefficients; its matrix M(a) is singular exactly when the element is not
+invertible, and solving M(a) x = vec(1) recovers the inverse.  Everything
+here is exact: the elimination is the fraction-free (division-free growth)
 variant of Gaussian elimination over the integers with first-nonzero
 pivoting, after clearing denominators, and the back substitution stays in
 the integers too, scaled by the determinant so that it divides exactly.
 No floating point is used anywhere.
 
+The system is solved in blocks, and they are still M(a), only in another
+basis.  Blades b_1..b_k that commute pairwise, square to +1 and have
+independent masks give 2^k orthogonal idempotents
+f_eps = prod_i (1 + eps_i b_i)/2 summing to 1, so the algebra is the direct
+sum of the left ideals Cl f_eps (Lounesto, Clifford Algebras and Spinors,
+ch. 17).  Left multiplication keeps each ideal, so M(a) is block diagonal
+in the basis {e_r f_eps}, r running over representatives of the cosets of
+the span of the b-masks: it is singular iff one block is, and the solution
+is the sum of the block solutions.  Writing e_y f_eps = c_eps(y) e_r f_eps
+with r = rep(y) and c_eps(y) = +-1, block eps is
+B_eps[r][m] = sum_{rep(y)=r} c_eps(y) M[y][m] over the representative
+columns m, B_eps z = vec(1) gives the coordinates of x f_eps, and
+x_y = 2^-k sum_eps c_eps(y) z^eps_rep(y).  For n = 5 that is four 8x8
+systems (eight 4x4 for Cl(2,3)) in place of one 32x32; Cl(0,0), Cl(1,0)
+and Cl(2,0) have no such blade, and their one block is M(a) itself.
+
 This module deliberately shares no code with the chain-based inversion it
-is used to verify, beyond the blade product itself.
+is used to verify, beyond the blade sign table: the split is built from
+`product_signs` alone, and the blocks from the one integer M(a).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from functools import lru_cache
+from math import lcm
+from typing import NamedTuple, Optional
 
-from .blades import blade_order, product_signs
+from .blades import Signature, blade_order, product_signs
 from .multivector import Multivector
 
 
@@ -64,6 +83,81 @@ def _int_rows(a: Multivector) -> tuple[list[list[int]], int]:
     return rows, den
 
 
+class _Split(NamedTuple):
+    """How M(a) splits into blocks for one signature (see the module docstring).
+
+    S runs over subsets of the blades in bit order and b_S is the product of
+    the blades b_i with bit i set in S; for a representative r, y = r ^ b_S
+    runs over its coset, with e_r b_S = sign * e_y.  As b_S f_eps =
+    eps_S f_eps, c_eps(y) = sign * eps_S, where eps_S = (-1)^|eps & S|.
+    """
+
+    blades: tuple[int, ...]  # b_1..b_k
+    columns: tuple[int, ...]  # basis index of each representative r, the unit first
+    members: tuple[tuple[tuple[int, int], ...], ...]  # [S][r]: (basis index of y, sign)
+    gather: tuple[tuple[int, int, int, int], ...]  # per basis blade y: (mask, S, r, sign)
+
+
+@lru_cache(maxsize=None)
+def _split(sig: Signature) -> _Split:
+    """Greedy blades in mask order and the cosets of their span."""
+    dim = sig.dim
+    signs = product_signs(sig)
+    blades: list[int] = []
+    span = {0}
+    for b in range(1, dim):
+        if signs[b * dim + b] > 0 and b not in span and all(
+            signs[b * dim + c] == signs[c * dim + b] for c in blades
+        ):
+            blades.append(b)
+            span |= {m ^ b for m in span}
+    products = []  # b_S as (sign, mask)
+    for bits in range(1 << len(blades)):
+        sign, mask = 1, 0
+        for i, b in enumerate(blades):
+            if bits >> i & 1:
+                sign *= signs[mask * dim + b]
+                mask ^= b
+        products.append((sign, mask))
+    basis = blade_order(sig.n)
+    index = _basis_index(sig.n)
+    # Each coset is represented by its smallest mask, so the unit represents the span.
+    reps = [r for r in basis if all(r < r ^ m for _, m in products[1:])]
+    members = tuple(
+        tuple((index[r ^ m], s * signs[r * dim + m]) for r in reps) for s, m in products
+    )
+    where = {i: (S, r, sign) for S, row in enumerate(members) for r, (i, sign) in enumerate(row)}
+    gather = tuple((basis[i], *where[i]) for i in range(dim))
+    return _Split(tuple(blades), tuple(index[r] for r in reps), members, gather)
+
+
+def _hadamard(w: list[list[int]]) -> None:
+    """In place, w[eps] <- sum_S (-1)^|eps & S| w[S] for vectors w[S]; len(w) = 2^k."""
+    h = 1
+    while h < len(w):
+        for j in range(len(w)):
+            if not j & h:
+                x, y = w[j], w[j | h]
+                w[j] = [u + v for u, v in zip(x, y)]
+                w[j | h] = [u - v for u, v in zip(x, y)]
+        h <<= 1
+
+
+def _blocks(rows: list[list[int]], split: _Split) -> list[list[list[int]]]:
+    """The diagonal blocks B_eps of the integer matrix rows, eps in bit order.
+
+    Row r of B_eps is sum_S c_eps(y) M[y] over y = r ^ b_S, restricted to
+    the representative columns: stacking, for each S, the rows sign * M[y]
+    of every representative, one Walsh-Hadamard transform over S gives
+    every block at once.
+    """
+    cols = split.columns
+    side = len(cols)
+    stacked = [[rows[i][j] * s for i, s in row for j in cols] for row in split.members]
+    _hadamard(stacked)
+    return [[flat[r : r + side] for r in range(0, side * side, side)] for flat in stacked]
+
+
 def _eliminate(rows: list[list[int]], width: int) -> bool:
     """Fraction-free forward elimination in place; False if a pivot column dies.
 
@@ -100,32 +194,44 @@ def _eliminate(rows: list[list[int]], width: int) -> bool:
 
 
 def oracle_is_invertible(a: Multivector) -> bool:
-    """True iff the regular matrix has full rank."""
+    """True iff the regular matrix has full rank, i.e. every block has."""
     rows, _ = _int_rows(a)
-    return _eliminate(rows, len(rows))
+    return all(_eliminate(block, len(block)) for block in _blocks(rows, _split(a.sig)))
 
 
 def oracle_inverse(a: Multivector) -> Optional[Multivector]:
     """Solve M(a) x = vec(1) exactly; None when the matrix is singular."""
     sig = a.sig
-    dim = sig.dim
+    split = _split(sig)
     rows, den = _int_rows(a)
-    basis = blade_order(sig.n)
-    # vec(1): the unit blade is first in (grade, mask) order.
-    for i, row in enumerate(rows):
-        row.append(1 if i == 0 else 0)
-    if not _eliminate(rows, dim + 1):
-        return None
-    # Cramer's rule: det * x is integral, where det is the last pivot, so back
-    # substitution on y = det * x divides exactly.
-    det = rows[dim - 1][dim - 1]
-    y = [0] * dim
-    for i in range(dim - 1, -1, -1):
-        ri = rows[i]
-        s = det * ri[dim]
-        for j in range(i + 1, dim):
-            if ri[j]:
-                s -= ri[j] * y[j]
-        y[i] = s // ri[i]
-    # Solving with denominators cleared scales the solution down by den.
-    return Multivector._from_ints(sig, ((basis[i], v * den) for i, v in enumerate(y)), det)
+    solved = []
+    for block in _blocks(rows, split):
+        side = len(block)
+        # vec(1): the unit is the first representative.
+        for i, row in enumerate(block):
+            row.append(1 if i == 0 else 0)
+        if not _eliminate(block, side + 1):
+            return None
+        # Cramer's rule: det * z is integral, where det is the last pivot, so
+        # back substitution on y = det * z divides exactly.
+        det = block[side - 1][side - 1]
+        y = [0] * side
+        for i in range(side - 1, -1, -1):
+            ri = block[i]
+            s = det * ri[side]
+            for j in range(i + 1, side):
+                if ri[j]:
+                    s -= ri[j] * y[j]
+            y[i] = s // ri[i]
+        solved.append((det, y))
+    # x_y = 2^-k sum_eps c_eps(y) z^eps_r over the common denominator
+    # 2^k * lcm(det): the same transform, over eps.  Solving with
+    # denominators cleared also scaled the solution down by den.
+    common = lcm(*[det for det, _ in solved])
+    z = []
+    for det, y in solved:
+        scale = common // det * den
+        z.append([v * scale for v in y])
+    _hadamard(z)
+    nums = ((mask, z[S][r] * sign) for mask, S, r, sign in split.gather)
+    return Multivector._from_ints(sig, nums, common << len(split.blades))

@@ -25,6 +25,15 @@ from .blades import Signature
 from .errors import LexError, ParseError
 from .multivector import Multivector
 
+# Budget for `^`, in bits: a power with exponent k of a base whose
+# numerators and denominators have at most b bits is refused, before it is
+# computed, when k * (b + n) exceeds it.  For integer coefficients that
+# bounds every coefficient of the result (each of the k - 1 products sums
+# 2^n products of entries, adding at most n bits to their sizes); with
+# rational ones it is an estimate on the same scale.  10^5000 needs at most
+# 5000 * (4 + 5) = 45000.
+MAX_POWER_BITS = 50_000
+
 
 class Token(NamedTuple):
     kind: str  # int, slash, blade, plus, minus, star, caret, lparen, rparen, end
@@ -232,7 +241,17 @@ def evaluate(ast: ExprAst, sig: Signature) -> Multivector:
     if isinstance(ast, Neg):
         return -evaluate(ast.operand, sig)
     if isinstance(ast, Power):
-        return evaluate(ast.base, sig) ** ast.exponent
+        base = evaluate(ast.base, sig)
+        bits = max(
+            (max(c.numerator.bit_length(), c.denominator.bit_length()) for _, c in base.items()), default=0
+        )
+        need = ast.exponent * (bits + sig.n)
+        if need > MAX_POWER_BITS:
+            raise ValueError(
+                f"power too large: ^{ast.exponent} on {bits}-bit coefficients could need "
+                f"{need} bits, over the {MAX_POWER_BITS}-bit budget"
+            )
+        return base ** ast.exponent
     if isinstance(ast, BinOp):
         left = evaluate(ast.left, sig)
         right = evaluate(ast.right, sig)

@@ -1,9 +1,12 @@
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import cliffinv
 from cliffinv import Multivector, Signature, discriminant
 from cliffinv.cli import main
 
@@ -126,6 +129,12 @@ class TestInv:
         assert (code, out) == (1, "")
         assert "limit" in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize("expr", ["(1+e1)^100000000000000000000", "(10^5000)^5000"])
+    def test_power_over_budget_exits_one(self, capsys, expr):
+        code, out, err = run(capsys, "inv", "-p", "0", "-q", "1", expr)
+        assert (code, out) == (1, "")
+        assert err.startswith("cliffinv: power too large") and err.count("\n") == 1
+
     def test_unknown_command_exits_one(self, capsys):
         assert run(capsys, "frobnicate")[0] == 1
 
@@ -240,6 +249,24 @@ class TestVerify:
 
     def test_zero_samples_exit_one(self, capsys):
         assert run(capsys, "verify", "-p", "0", "-q", "1", "--samples", "0")[0] == 1
+
+
+class TestLazyImports:
+    def test_inv_loads_neither_bench_nor_verify(self):
+        # A fresh interpreter: this test process has imported both already.
+        script = (
+            "import contextlib, io, sys\n"
+            "from cliffinv.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert main(['inv', '-p', '0', '-q', '1', '2+e1']) == 0\n"
+            "print(sorted(m for m in ('cliffinv.bench', 'cliffinv.verify') if m in sys.modules))\n"
+        )
+        src = str(Path(cliffinv.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
 
 
 class TestBench:

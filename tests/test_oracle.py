@@ -1,5 +1,7 @@
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 from cliffinv import (
     Multivector,
@@ -11,7 +13,9 @@ from cliffinv import (
     oracle_is_invertible,
     regular_matrix,
 )
-from cliffinv.oracle import _eliminate, _int_rows
+from cliffinv import oracle as oracle_module
+from cliffinv.blades import blade_mul, blade_order, blade_square_sign
+from cliffinv.oracle import _blocks, _eliminate, _int_rows, _split
 
 from conftest import all_signatures
 
@@ -181,3 +185,160 @@ class TestOracleIntegerBackSubstitution:
         a = Multivector.blade(Signature(1, 0), 1)
         assert _elimination_profile(a) == (1, -1)
         assert oracle_inverse(a) == Multivector.blade(Signature(1, 0), 1, -1)
+
+
+def _full_matrix_oracle(a):
+    """The unsplit oracle as reference: (full rank, inverse) from one 2^n x 2^n elimination."""
+    rows, _ = _int_rows(a)
+    full_rank = _eliminate(rows, len(rows))
+    rows, den = _int_rows(a)
+    dim = len(rows)
+    for i, row in enumerate(rows):
+        row.append(1 if i == 0 else 0)
+    if not _eliminate(rows, dim + 1):
+        return full_rank, None
+    det = rows[-1][dim - 1]
+    y = [0] * dim
+    for i in range(dim - 1, -1, -1):
+        y[i] = (det * rows[i][dim] - sum(rows[i][j] * y[j] for j in range(i + 1, dim))) // rows[i][i]
+    basis = blade_order(a.sig.n)
+    return full_rank, Multivector(a.sig, {basis[i]: Fraction(v * den, det) for i, v in enumerate(y)})
+
+
+def _unit_plus_square_one_blades(sig):
+    """Every zero divisor 1 + b with b*b = +1."""
+    return [Multivector(sig, {0: 1, b: 1}) for b in range(1, sig.dim) if blade_square_sign(b, sig) > 0]
+
+
+def _split_samples(sig, rng):
+    """Dense integer and rational, sparse rational, zero, and every 1 + b zero divisor."""
+    out = [rnd(sig, rng.randrange(10**6), 10) for _ in range(6)]
+    out += _integer_path_samples(sig, rng)
+    out.append(Multivector.zero(sig))
+    zero_divisors = _unit_plus_square_one_blades(sig)
+    out += zero_divisors
+    # Products with a zero divisor are singular too.
+    out += [zd * rnd(sig, rng.randrange(10**6), 3) for zd in zero_divisors[:2]]
+    return out
+
+
+def _block_profiles(a):
+    """(side, row swaps, last pivot or 0 if singular) of each augmented block's elimination."""
+
+    class Rows(list):
+        writes = 0
+
+        def __setitem__(self, i, row):
+            self.writes += 1
+            super().__setitem__(i, row)
+
+    int_rows, _ = _int_rows(a)
+    out = []
+    for block in _blocks(int_rows, _split(a.sig)):
+        rows = Rows(row + [1 if i == 0 else 0] for i, row in enumerate(block))
+        full = _eliminate(rows, len(rows) + 1)
+        out.append((len(rows), rows.writes // 2, rows[-1][-2] if full else 0))
+    return out
+
+
+class TestIdempotentSplit:
+    """M(a) is solved as 2^k blocks, one per idempotent f_eps = prod (1 + eps_i b_i)/2."""
+
+    def test_split_blades_and_block_shapes(self):
+        sides = {}
+        for sig in all_signatures():
+            split = _split(sig)
+            k = len(split.blades)
+            for i, b in enumerate(split.blades):
+                assert blade_square_sign(b, sig) == 1
+                for c in split.blades[:i]:
+                    assert blade_mul(b, c, sig) == blade_mul(c, b, sig)
+            span = {0}
+            for b in split.blades:
+                assert b not in span
+                span |= {m ^ b for m in span}
+            assert len(span) == 1 << k
+            # 2^k blocks of side 2^(n-k): the cosets cover every basis index once.
+            assert len(split.members) == 1 << k
+            assert all(len(row) == len(split.columns) == sig.dim >> k for row in split.members)
+            assert sorted(i for row in split.members for i, _ in row) == list(range(sig.dim))
+            assert split.members[0] == tuple((j, 1) for j in split.columns)
+            assert split.columns[0] == 0
+            basis = blade_order(sig.n)
+            assert [(mask, split.members[S][r]) for mask, S, r, _ in split.gather] == [
+                (basis[i], (i, sign)) for i, (_, _, _, sign) in enumerate(split.gather)
+            ]
+            sides[(sig.p, sig.q)] = sig.dim >> k
+        assert sides[(0, 0)] == 1 and sides[(1, 0)] == 2 and sides[(2, 0)] == 4
+        assert {pq: s for pq, s in sides.items() if sum(pq) == 5} == {
+            (0, 5): 8, (1, 4): 8, (2, 3): 4, (3, 2): 8, (4, 1): 8, (5, 0): 8,
+        }
+
+    def test_blocks_are_left_multiplication_on_the_ideals(self):
+        # a * e_m f_eps = sum_r B_eps[r][m] e_r f_eps for each representative m.
+        rng = random.Random(14)
+        for sig in all_signatures(0, 4) + [Signature(2, 3), Signature(0, 5)]:
+            split = _split(sig)
+            basis = blade_order(sig.n)
+            one = Multivector.unit(sig)
+            idempotents = []
+            for eps in range(1 << len(split.blades)):
+                f = one
+                for i, b in enumerate(split.blades):
+                    f = f * Multivector(sig, {0: Fraction(1, 2), b: Fraction(-1 if eps >> i & 1 else 1, 2)})
+                idempotents.append(f)
+            total = Multivector.zero(sig)
+            for f in idempotents:
+                assert f * f == f
+                total = total + f
+            assert total == one
+            a = rnd(sig, rng.randrange(10**6), 5)
+            rows, den = _int_rows(a)
+            assert den == 1
+            reps = [Multivector.blade(sig, basis[j]) for j in split.columns]
+            for f, block in zip(idempotents, _blocks(rows, split)):
+                for m, e_m in enumerate(reps):
+                    image = Multivector.zero(sig)
+                    for r, e_r in enumerate(reps):
+                        image = image + e_r * f * block[r][m]
+                    assert a * e_m * f == image
+
+    def test_matches_full_matrix_oracle(self):
+        rng = random.Random(16)
+        count = singular = partly_singular = 0
+        for sig in all_signatures():
+            for a in _split_samples(sig, rng):
+                full_rank, inverse = _full_matrix_oracle(a)
+                assert oracle_is_invertible(a) == full_rank
+                assert oracle_inverse(a) == inverse
+                assert (inverse is None) == (not full_rank)
+                count += 1
+                if not full_rank:
+                    singular += 1
+                    dead = sum(pivot == 0 for _, _, pivot in _block_profiles(a))
+                    assert dead >= 1
+                    partly_singular += dead < 1 << len(_split(sig).blades)
+        assert count >= 450 and singular >= 150
+        # Some singular samples keep full rank in some of their blocks.
+        assert partly_singular
+
+    def test_samples_reach_block_swaps_and_negative_pivots(self):
+        rng = random.Random(18)
+        swapped = negative_pivot = 0
+        for sig in all_signatures(1):
+            if not _split(sig).blades:
+                continue
+            for a in _split_samples(sig, rng):
+                for side, swaps, last_pivot in _block_profiles(a):
+                    assert side < sig.dim
+                    swapped += swaps > 0
+                    negative_pivot += last_pivot < 0
+        assert swapped and negative_pivot
+
+    def test_shares_no_code_with_the_chain(self):
+        tree = ast.parse(Path(oracle_module.__file__).read_text())
+        imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+        imported |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
+        modules = {name.rsplit(".", 1)[-1] for name in imported if name}
+        assert modules.isdisjoint({"inversion", "involutions", "verify", "bench", "parsing"})
+        assert {"blades", "multivector"} <= modules

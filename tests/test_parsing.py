@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from cliffinv import LexError, Multivector, ParseError, Signature, parse_expression, tokenize
-from cliffinv.parsing import parse
+from cliffinv.parsing import MAX_POWER_BITS, parse
 
 from conftest import all_signatures
 
@@ -111,6 +111,30 @@ class TestParseEval:
 
     def test_whitespace_insensitive(self):
         assert ev(" 1 +   2*e1 ", S01) == ev("1+2*e1", S01)
+
+
+class TestPowerBudget:
+    """A power k on b-bit coefficients in n generators is refused when k * (b + n) > MAX_POWER_BITS."""
+
+    def test_edge_of_the_budget(self):
+        s00 = Signature(0, 0)
+        k = MAX_POWER_BITS // 2  # 2 has a 2-bit numerator
+        assert ev(f"2^{k}", s00) == Multivector.scalar(s00, 2**k)
+        with pytest.raises(ValueError, match="power too large"):
+            ev(f"2^{k + 1}", s00)
+        # The n added per product counts: the same power is refused at n = 5.
+        with pytest.raises(ValueError, match="power too large"):
+            ev(f"2^{k}", Signature(0, 5))
+
+    def test_denominators_count(self):
+        s00 = Signature(0, 0)
+        k = MAX_POWER_BITS // 10  # 1000 has a 10-bit denominator
+        assert ev(f"(1/1000)^{k}", s00) == Multivector.scalar(s00, Fraction(1, 1000**k))
+        with pytest.raises(ValueError, match="power too large"):
+            ev(f"(1/1000)^{k + 1}", s00)
+
+    def test_zero_exponent_costs_nothing(self):
+        assert ev("(3+e1)^0", S01) == Multivector.unit(S01)
 
 
 class TestParseErrors:

@@ -65,62 +65,3 @@ from .oracle import RegularMatrix, oracle_inverse, oracle_is_invertible, regular
 from .parsing import evaluate, parse, parse_expression, tokenize
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "MAX_GENERATORS",
-    "Blade",
-    "Signature",
-    "SignedBlade",
-    "blade_from_text",
-    "blade_mul",
-    "blade_order",
-    "blade_square_sign",
-    "blade_to_text",
-    "grade",
-    "transposition_sign",
-    "CliffordError",
-    "DimensionMismatch",
-    "DimensionOutOfRange",
-    "GradeOutOfRange",
-    "LexError",
-    "NotInvertible",
-    "ParseError",
-    "SignatureMismatch",
-    "SubspaceViolation",
-    "InverseResult",
-    "InvolutionChain",
-    "alternate_chain",
-    "compose_inverse",
-    "default_chain",
-    "discriminant",
-    "discriminant_closed_form",
-    "inverse",
-    "verify_d_equals_dprime",
-    "DeltaConstraint",
-    "GradeSet",
-    "LengthDeltaMap",
-    "apply_delta",
-    "conjugation",
-    "conjugation_delta",
-    "constraints_for",
-    "delta_solutions",
-    "grade_involution",
-    "grade_involution_delta",
-    "invariant_grades",
-    "is_special_involution",
-    "named_map_matches",
-    "psi",
-    "psi_delta",
-    "reversion",
-    "reversion_delta",
-    "Multivector",
-    "RegularMatrix",
-    "oracle_inverse",
-    "oracle_is_invertible",
-    "regular_matrix",
-    "evaluate",
-    "parse",
-    "parse_expression",
-    "tokenize",
-    "__version__",
-]

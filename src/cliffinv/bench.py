@@ -1,9 +1,7 @@
 """Timing comparison: chain-formula inversion versus matrix-solve inversion.
 
 Both contenders run in exact rational arithmetic on identical seeded
-batches, so the comparison isolates the algorithms.  An optional dense
-float lane exists for scale only; it makes no exactness claim and plays no
-part in any correctness test.
+batches, so the comparison isolates the algorithms.
 """
 
 from __future__ import annotations
@@ -12,7 +10,7 @@ import time
 from dataclasses import dataclass
 from statistics import mean, median
 
-from .blades import Signature, product_signs
+from .blades import Signature
 from .inversion import compose_inverse, default_chain
 from .multivector import Multivector
 from .oracle import oracle_inverse
@@ -53,45 +51,7 @@ class BenchReport:
         return self.lane("matrix").mean_s / self.lane("formula").mean_s
 
 
-def _float_chain_inverse(values: list[float], sig: Signature) -> list[float] | None:
-    """Dense float replica of the chain, for benchmark color only."""
-    dim = sig.dim
-    signs = product_signs(sig)
-    chain = default_chain(sig.n)
-
-    def mul(a: list[float], b: list[float]) -> list[float]:
-        out = [0.0] * dim
-        for ma in range(dim):
-            ca = a[ma]
-            if ca == 0.0:
-                continue
-            row = ma * dim
-            for mb in range(dim):
-                cb = b[mb]
-                if cb != 0.0:
-                    out[ma ^ mb] += signs[row + mb] * ca * cb
-        return out
-
-    cur = values
-    factors = []
-    for step in chain.steps:
-        delta = step.delta
-        f_cur = [c if delta[m.bit_count()] > 0 else -c for m, c in enumerate(cur)]
-        factors.append(f_cur)
-        cur = mul(cur, f_cur)
-    d = cur[0]
-    if d == 0.0:
-        return None
-    inv = [0.0] * dim
-    inv[0] = 1.0 / d
-    for f in factors:
-        inv = mul(inv, f)
-    return inv
-
-
-def run_bench(
-    sig: Signature, samples: int, seed: int, bound: int = 10, include_float: bool = False
-) -> BenchReport:
+def run_bench(sig: Signature, samples: int, seed: int, bound: int = 10) -> BenchReport:
     """Time both inversion routes on one identical seeded batch."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -111,17 +71,4 @@ def run_bench(
         matrix_times.append(time.perf_counter() - t0)
 
     lanes = [LaneTiming("formula", formula_times), LaneTiming("matrix", matrix_times)]
-
-    if include_float:
-        dim = sig.dim
-        float_batch = [
-            [float(a.coeff(m)) for m in range(dim)] for a in batch
-        ]
-        float_times = []
-        for values in float_batch:
-            t0 = time.perf_counter()
-            _float_chain_inverse(values, sig)
-            float_times.append(time.perf_counter() - t0)
-        lanes.append(LaneTiming("float-chain", float_times))
-
     return BenchReport(sig, samples, seed, bound, lanes)

@@ -102,8 +102,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--samples", type=int, default=100)
     bench.add_argument("--seed", type=int, default=0)
     bench.add_argument("--bound", type=int, default=10)
-    bench.add_argument("--float", dest="include_float", action="store_true",
-                       help="add an informational dense-float lane")
     bench.add_argument("--json", action="store_true")
 
     return parser
@@ -265,7 +263,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     from .bench import run_bench
 
     sig = _signature_from(args)
-    report = run_bench(sig, args.samples, args.seed, args.bound, args.include_float)
+    report = run_bench(sig, args.samples, args.seed, args.bound)
     if args.json:
         payload = {
             "signature": {"p": sig.p, "q": sig.q},

@@ -1,22 +1,22 @@
 """On-demand revalidation of the library's core identities.
 
-Backs the CLI `verify` command: every check draws seeded pseudorandom
-elements, exercises one identity exactly (no tolerances anywhere), and
-reports a failure count.  The checks mirror the heavy test suite at a
-user-chosen sample size so the claims can be re-established on any machine
-in seconds.
+Backs the CLI `verify` command and the acceptance battery: each seeded
+pseudorandom element is drawn once and inverted once through the default
+chain, and every identity that applies in its signature is checked exactly
+on that result (no tolerances anywhere).  Each check reports a failure
+count and the seeds of the failing samples, so any failure can be
+reproduced from its (signature, seed).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterable
+from dataclasses import dataclass, field
+from typing import Iterable
 
-from .blades import Signature, blade_square_sign, grade
+from .blades import Signature, blade_square_sign
 from .inversion import (
     compose_inverse,
     default_chain,
-    discriminant,
     discriminant_closed_form,
     verify_d_equals_dprime,
 )
@@ -29,115 +29,75 @@ class CheckResult:
     name: str
     sig: Signature
     samples: int
-    failures: int
+    failures: int = 0
     detail: str = ""
+    failing_seeds: list[int] = field(default_factory=list)
+    invertible: int = 0  # round-trip: samples with a nonzero discriminant
 
     @property
     def passed(self) -> bool:
         return self.failures == 0
 
-
-def all_signatures(max_n: int = 5) -> list[Signature]:
-    """Every signature with 0 <= p+q <= max_n, ordered by (n, p)."""
-    return [Signature(p, n - p) for n in range(max_n + 1) for p in range(n + 1)]
-
-
-def _samples(sig: Signature, count: int, seed: int, bound: int) -> Iterable[Multivector]:
-    return (Multivector.random(sig, seed + i, bound) for i in range(count))
+    def fail(self, seed: int | None, detail: str) -> None:
+        self.failures += 1
+        if seed is not None:
+            self.failing_seeds.append(seed)
+        if not self.detail:
+            self.detail = detail
 
 
-def check_round_trip(sig: Signature, samples: int, seed: int, bound: int) -> CheckResult:
-    """a * inverse(a) == inverse(a) * a == 1 whenever the discriminant is nonzero."""
-    one = Multivector.unit(sig)
-    chain = default_chain(sig.n)
-    failures = 0
-    detail = ""
-    for a in _samples(sig, samples, seed, bound):
-        result = compose_inverse(a, chain)
-        if result.inverse is None:
-            continue
-        if a * result.inverse != one or result.inverse * a != one:
-            failures += 1
-            if not detail:
-                detail = f"round trip broke on {a}"
-    return CheckResult("round-trip", sig, samples, failures, detail)
+def all_signatures(min_n: int = 0, max_n: int = 5) -> list[Signature]:
+    """Every signature with min_n <= p+q <= max_n, ordered by (n, p)."""
+    return [Signature(p, n - p) for n in range(min_n, max_n + 1) for p in range(n + 1)]
 
 
-def check_oracle_equivalence(sig: Signature, samples: int, seed: int, bound: int) -> CheckResult:
-    """Chain inverse and discriminant agree with the regular-matrix oracle.
+def _verify_signature(sig: Signature, samples: int, seed: int, bound: int) -> list[CheckResult]:
+    """The checks that apply in sig, all run on one pass over the samples.
 
-    Also covers the zero-divisor direction with constructed 1 + b for each
-    blade b squaring to +1.
+    round-trip: a * inverse(a) == inverse(a) * a == 1 when D != 0.
+    oracle-equivalence: the chain inverse equals the oracle's, or both are
+    none; after the samples also the zero divisors 1 + b for each blade b
+    squaring to +1 (these have no seed).
+    closed-form (1 <= n <= 4): the closed-form polynomial equals D.
+    chain-agreement (n = 3 or 4): the alternate chain gives the same D.
     """
-    chain = default_chain(sig.n)
-    failures = 0
-    detail = ""
-
-    def examine(a: Multivector) -> None:
-        nonlocal failures, detail
+    n = sig.n
+    round_trip = CheckResult("round-trip", sig, samples)
+    oracle = CheckResult("oracle-equivalence", sig, samples)
+    closed = CheckResult("closed-form", sig, samples) if 1 <= n <= 4 else None
+    chains = CheckResult("chain-agreement", sig, samples) if n in (3, 4) else None
+    one = Multivector.unit(sig)
+    chain = default_chain(n)
+    for s in range(seed, seed + samples):
+        a = Multivector.random(sig, s, bound)
         result = compose_inverse(a, chain)
-        via_oracle = oracle_inverse(a)
-        ok = (
-            (result.inverse is None) == (via_oracle is None)
-            and (result.inverse is None or result.inverse == via_oracle)
-        )
-        if not ok:
-            failures += 1
-            if not detail:
-                detail = f"oracle disagreed on {a}"
-
-    for a in _samples(sig, samples, seed, bound):
-        examine(a)
+        inv = result.inverse
+        if inv is not None:
+            round_trip.invertible += 1
+            if a * inv != one or inv * a != one:
+                round_trip.fail(s, f"round trip broke on {a}")
+        if inv != oracle_inverse(a):  # None only equals None
+            oracle.fail(s, f"oracle disagreed on {a}")
+        if closed is not None and discriminant_closed_form(a) != result.discriminant:
+            closed.fail(s, f"closed form disagreed on {a}")
+        if chains is not None and not verify_d_equals_dprime(a):
+            chains.fail(s, f"chain scalars split on {a}")
     for b in range(1, sig.dim):
         if blade_square_sign(b, sig) == 1:
-            examine(Multivector(sig, {0: 1, b: 1}))
-    return CheckResult("oracle-equivalence", sig, samples, failures, detail)
-
-
-def check_closed_form(sig: Signature, samples: int, seed: int, bound: int) -> CheckResult:
-    """Closed-form discriminant equals the chain scalar (1 <= n <= 4 only)."""
-    failures = 0
-    detail = ""
-    for a in _samples(sig, samples, seed, bound):
-        if discriminant_closed_form(a) != discriminant(a):
-            failures += 1
-            if not detail:
-                detail = f"closed form disagreed on {a}"
-    return CheckResult("closed-form", sig, samples, failures, detail)
-
-
-def check_d_equals_dprime(sig: Signature, samples: int, seed: int, bound: int) -> CheckResult:
-    """Default and alternate chains produce the same scalar (n = 3 or 4)."""
-    failures = 0
-    detail = ""
-    for a in _samples(sig, samples, seed, bound):
-        if not verify_d_equals_dprime(a):
-            failures += 1
-            if not detail:
-                detail = f"chain scalars split on {a}"
-    return CheckResult("chain-agreement", sig, samples, failures, detail)
-
-
-def checks_for(sig: Signature) -> list[Callable[[Signature, int, int, int], CheckResult]]:
-    out: list[Callable[[Signature, int, int, int], CheckResult]] = [
-        check_round_trip,
-        check_oracle_equivalence,
-    ]
-    if 1 <= sig.n <= 4:
-        out.append(check_closed_form)
-    if sig.n in (3, 4):
-        out.append(check_d_equals_dprime)
-    return out
+            a = Multivector(sig, {0: 1, b: 1})
+            if compose_inverse(a, chain).inverse != oracle_inverse(a):
+                oracle.fail(None, f"oracle disagreed on {a}")
+    return [r for r in (round_trip, oracle, closed, chains) if r is not None]
 
 
 def run_verification(
     signatures: Iterable[Signature], samples: int, seed: int, bound: int
 ) -> list[CheckResult]:
-    """Run every applicable check on every signature; deterministic in seed."""
+    """Run every applicable check on every signature; deterministic in seed.
+
+    Sample i of a signature is Multivector.random(sig, seed + i, bound), and
+    its seed is what `failing_seeds` reports.
+    """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    results = []
-    for sig in signatures:
-        for check in checks_for(sig):
-            results.append(check(sig, samples, seed, bound))
-    return results
+    return [r for sig in signatures for r in _verify_signature(sig, samples, seed, bound)]

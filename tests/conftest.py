@@ -1,4 +1,4 @@
-"""Shared helpers: signature enumeration and the naive product rewriter.
+"""Shared helper: the naive product rewriter.
 
 The rewriter is the independent oracle for the blade product: it works on
 explicit generator-index lists with single-step adjacent swaps and
@@ -8,10 +8,6 @@ annihilations, sharing no code with the bitmask implementation.
 from __future__ import annotations
 
 from cliffinv import Signature, blade_mul
-
-
-def all_signatures(min_n: int = 0, max_n: int = 5) -> list[Signature]:
-    return [Signature(p, n - p) for n in range(min_n, max_n + 1) for p in range(n + 1)]
 
 
 def naive_rewrite(word: list[int], sig: Signature) -> tuple[int, int]:

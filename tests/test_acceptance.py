@@ -9,14 +9,14 @@ identities, parser round trips, and a benchmark smoke run.
 
 Each test prints one PASS line (visible with `pytest -s` or `-rA`); a
 failure carries a concrete counterexample in the assertion message.
-Expect a few minutes of runtime: criteria 1-3 share one survey of 1000
-seeded samples in each of the 21 signatures, all cross-checked against
-exact Gaussian elimination on 2^n x 2^n matrices.
+Expect a few minutes of runtime: criteria 1-5 read one run of the checks
+behind `cliffinv verify`, over 1000 seeded samples in each of the 21
+signatures, all cross-checked against exact Gaussian elimination on the
+2^n x 2^n regular matrices.
 """
 
 import itertools
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 import pytest
@@ -52,14 +52,11 @@ from cliffinv import (
 )
 from cliffinv.bench import run_bench
 from cliffinv.parsing import parse
+from cliffinv.verify import CheckResult, all_signatures, run_verification
 
-SIGNATURES = [Signature(p, n - p) for n in range(6) for p in range(n + 1)]
+SIGNATURES = all_signatures()
 SAMPLES = 1000
 BOUND = 10
-
-
-def sigs_with(n: int) -> list[Signature]:
-    return [s for s in SIGNATURES if s.n == n]
 
 
 def sample(sig: Signature, seed: int, bound: int = BOUND) -> Multivector:
@@ -71,58 +68,42 @@ def test_signature_inventory():
 
 
 # ----------------------------------------------------------------------
-# Shared survey for criteria 1-3: chain inverse and matrix oracle on the
-# same 1000 seeded samples per signature.
+# Criteria 1-5 read one run of the verify command's checks: chain inverse,
+# matrix oracle, closed form and alternate chain on the same 1000 seeded
+# samples per signature, each sample drawn and inverted once.
 # ----------------------------------------------------------------------
 
 
-@dataclass
-class SigSurvey:
-    sig: Signature
-    samples: int = 0
-    invertible: int = 0
-    roundtrip_failures: list = field(default_factory=list)
-    iff_mismatches: list = field(default_factory=list)
-    value_mismatches: list = field(default_factory=list)
-
-
 @pytest.fixture(scope="session")
-def survey() -> dict[Signature, SigSurvey]:
-    out: dict[Signature, SigSurvey] = {}
-    for sig in SIGNATURES:
-        record = SigSurvey(sig)
-        one = Multivector.unit(sig)
-        chain = default_chain(sig.n)
-        for seed in range(SAMPLES):
-            a = sample(sig, seed)
-            result = compose_inverse(a, chain)
-            via_oracle = oracle_inverse(a)
-            record.samples += 1
-            if result.inverse is not None:
-                record.invertible += 1
-                if a * result.inverse != one or result.inverse * a != one:
-                    record.roundtrip_failures.append((sig, seed))
-            if (result.discriminant == 0) != (via_oracle is None):
-                record.iff_mismatches.append((sig, seed))
-            if result.inverse is not None and via_oracle is not None:
-                if result.inverse != via_oracle:
-                    record.value_mismatches.append((sig, seed))
-        out[sig] = record
-        print(f"surveyed {sig}: {record.invertible}/{record.samples} invertible")
+def checks() -> dict[str, list[CheckResult]]:
+    out: dict[str, list[CheckResult]] = {}
+    for r in run_verification(SIGNATURES, SAMPLES, 0, BOUND):
+        out.setdefault(r.name, []).append(r)
+    for r in out["round-trip"]:
+        print(f"surveyed {r.sig}: {r.invertible}/{r.samples} invertible")
     return out
 
 
-def test_criterion_01_round_trip_inversion(survey):
-    failures = [f for rec in survey.values() for f in rec.roundtrip_failures]
-    total = sum(rec.samples for rec in survey.values())
+def failing(results: list[CheckResult]) -> list[tuple[Signature, int]]:
+    return [(r.sig, seed) for r in results for seed in r.failing_seeds]
+
+
+def test_criterion_01_round_trip_inversion(checks):
+    results = checks["round-trip"]
+    failures = failing(results)
+    total = sum(r.samples for r in results)
     assert total == 21 * SAMPLES
     assert not failures, f"round trip broke at (signature, seed): {failures[:5]}"
     print("PASS criterion 1: exact inversion round trip on 21x1000 samples")
 
 
-def test_criterion_02_invertible_iff_nonzero_discriminant(survey):
-    mismatches = [m for rec in survey.values() for m in rec.iff_mismatches]
+def test_criterion_02_invertible_iff_nonzero_discriminant(checks):
+    results = checks["oracle-equivalence"]
+    assert [r.sig for r in results] == SIGNATURES
+    mismatches = failing(results)
     assert not mismatches, f"discriminant/rank disagreement at: {mismatches[:5]}"
+    # also covers the 1 + b zero divisors the check appends after its samples
+    assert all(r.passed for r in results), [r.detail for r in results if not r.passed]
     # constructed zero divisors: 1 + b is singular whenever b*b = +1
     checked = 0
     for sig in SIGNATURES:
@@ -136,9 +117,9 @@ def test_criterion_02_invertible_iff_nonzero_discriminant(survey):
     print(f"PASS criterion 2: D = 0 iff singular, incl. {checked} constructed zero divisors")
 
 
-def test_criterion_03_inverse_matches_matrix_oracle(survey):
-    mismatches = [m for rec in survey.values() for m in rec.value_mismatches]
-    invertible = sum(rec.invertible for rec in survey.values())
+def test_criterion_03_inverse_matches_matrix_oracle(checks):
+    mismatches = failing(checks["oracle-equivalence"])
+    invertible = sum(r.invertible for r in checks["round-trip"])
     assert not mismatches, f"formula and oracle inverses differ at: {mismatches[:5]}"
     assert invertible > 20000  # random elements are almost never singular
     print(f"PASS criterion 3: formula inverse equals oracle inverse on {invertible} elements")
@@ -166,10 +147,10 @@ def shrink_mismatch(a: Multivector) -> Multivector:
     return current
 
 
-def test_criterion_04_closed_form_discriminants():
+def test_criterion_04_closed_form_discriminants(checks):
     rng = random.Random(401)
     # one and two generators: the quadratic forms, checked pointwise
-    for sig in sigs_with(1):
+    for sig in all_signatures(1, 1):
         s1 = sig.square(1)
         for _ in range(150):
             x, y = rng.randint(-50, 50), rng.randint(-50, 50)
@@ -177,7 +158,7 @@ def test_criterion_04_closed_form_discriminants():
             expected = x * x - y * y * s1
             assert discriminant_closed_form(a) == expected
             assert discriminant(a) == expected
-    for sig in sigs_with(2):
+    for sig in all_signatures(2, 2):
         s1, s2 = sig.square(1), sig.square(2)
         for _ in range(150):
             x, y, z, w = (rng.randint(-50, 50) for _ in range(4))
@@ -186,28 +167,30 @@ def test_criterion_04_closed_form_discriminants():
             assert discriminant_closed_form(a) == expected
             assert discriminant(a) == expected
     # three and four generators: polynomial equals the chain scalar
-    for n in (3, 4):
-        for sig in sigs_with(n):
-            for seed in range(SAMPLES):
-                a = sample(sig, seed)
-                if discriminant_closed_form(a) != discriminant(a):
-                    small = shrink_mismatch(a)
-                    pytest.fail(
-                        f"closed form disagrees with chain in {sig}; "
-                        f"minimal counterexample: {small} "
-                        f"(closed={discriminant_closed_form(small)}, chain={discriminant(small)})"
-                    )
+    results = [r for r in checks["closed-form"] if r.sig.n in (3, 4)]
+    assert [r.sig for r in results] == all_signatures(3, 4)
+    assert all(r.samples == SAMPLES for r in results)
+    for r in results:
+        for seed in r.failing_seeds:
+            small = shrink_mismatch(sample(r.sig, seed))
+            pytest.fail(
+                f"closed form disagrees with chain in {r.sig} at seed {seed}; "
+                f"minimal counterexample: {small} "
+                f"(closed={discriminant_closed_form(small)}, chain={discriminant(small)})"
+            )
     print("PASS criterion 4: closed-form discriminants agree everywhere sampled")
 
 
-def test_criterion_05_both_chains_give_one_scalar():
-    for n in (3, 4):
-        for sig in sigs_with(n):
-            for seed in range(SAMPLES):
-                a = sample(sig, seed)
-                d = compose_inverse(a, default_chain(n)).discriminant
-                dprime = compose_inverse(a, alternate_chain(n)).discriminant
-                assert d == dprime, f"chains split on {a} in {sig}: {d} vs {dprime}"
+def test_criterion_05_both_chains_give_one_scalar(checks):
+    results = checks["chain-agreement"]
+    assert [r.sig for r in results] == all_signatures(3, 4)
+    assert all(r.samples == SAMPLES for r in results)
+    for r in results:
+        for seed in r.failing_seeds:
+            a = sample(r.sig, seed)
+            d = compose_inverse(a, default_chain(r.sig.n)).discriminant
+            dprime = compose_inverse(a, alternate_chain(r.sig.n)).discriminant
+            pytest.fail(f"chains split on {a} in {r.sig} (seed {seed}): {d} vs {dprime}")
     print("PASS criterion 5: default and alternate chains agree on 9x1000 samples")
 
 
@@ -257,7 +240,7 @@ def antihom_on_blades(delta: tuple[int, ...], grades: frozenset[int], sig: Signa
 
 def test_criterion_07_solver_matches_blade_brute_force():
     for n in range(6):
-        check_sigs = sigs_with(n) if n <= 3 else [Signature(0, n)]
+        check_sigs = all_signatures(n, n) if n <= 3 else [Signature(0, n)]
         candidates = [
             LengthDeltaMap((1,) + tuple(-1 if bits >> k & 1 else 1 for k in range(n)))
             for bits in range(1 << n)
@@ -364,19 +347,19 @@ def test_criterion_08_closure_and_invertibility_preservation():
 
 
 def test_criterion_09_two_sided_products():
-    for sig in sigs_with(3):
+    for sig in all_signatures(3, 3):
         for seed in range(PROPERTY_SAMPLES):
             a = sample(sig, seed)
             left = reversion(a) * grade_involution(a) * conjugation(a)
             right = conjugation(a) * grade_involution(a) * reversion(a)
             assert left == right, f"three-generator two-sided form broke on {a}"
-    for sig in sigs_with(4):
+    for sig in all_signatures(4, 4):
         for seed in range(PROPERTY_SAMPLES):
             a = sample(sig, seed)
             left = reversion(a) * psi(a * reversion(a))
             right = conjugation(a) * psi(a * conjugation(a))
             assert left == right, f"four-generator two-sided form broke on {a}"
-    for sig in sigs_with(5):
+    for sig in all_signatures(5, 5):
         for seed in range(PROPERTY_SAMPLES):
             a = sample(sig, seed)
             f1, f2, f3 = compose_inverse(a, default_chain(5)).factors

@@ -15,8 +15,9 @@ from cliffinv import (
     transposition_sign,
 )
 from cliffinv.blades import product_signs
+from cliffinv.verify import all_signatures
 
-from conftest import all_signatures, fold_blade_mul, naive_rewrite
+from conftest import fold_blade_mul, naive_rewrite
 
 
 class TestSignature:

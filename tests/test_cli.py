@@ -289,11 +289,13 @@ class TestBench:
         assert p1["samples"] == p2["samples"]
         assert set(p1["lanes"]) == set(p2["lanes"]) == {"formula", "matrix"}
 
-    def test_float_lane_is_optional(self, capsys):
-        code, out, _ = run(
+    def test_float_lane_is_gone(self, capsys):
+        code, out, err = run(
             capsys, "bench", "--json", "-p", "0", "-q", "2", "--samples", "4", "--float"
         )
-        assert "float-chain" in json.loads(out)["lanes"]
+        assert code == 1
+        assert out == ""
+        assert "unrecognized arguments: --float" in err
 
 
 GOLDEN = json.loads((Path(__file__).parent / "data" / "golden_cli.json").read_text())["cases"]
@@ -302,11 +304,13 @@ GOLDEN = json.loads((Path(__file__).parent / "data" / "golden_cli.json").read_te
 class TestGoldenCorpus:
     """inv, inv --json and disc on 40 fixed inputs over all 21 signatures,
     then disc --closed-form (text and --json) on integer, rational and
-    zero-divisor inputs over every signature with 1 <= n <= 4.
+    zero-divisor inputs over every signature with 1 <= n <= 4, then verify
+    --samples 20 (text and --json) on each of the 21 signatures.
 
     The first 120 cases were recorded before the chain was compiled into
     integer plans, the closed-form cases before the closed form ran on
-    integers; any change to them must be deliberate.
+    integers, the verify cases before its checks became one pass over the
+    samples; any change to them must be deliberate.
     """
 
     @pytest.mark.parametrize(

@@ -29,8 +29,7 @@ from cliffinv import (
     reversion_delta,
     verify_d_equals_dprime,
 )
-
-from conftest import all_signatures
+from cliffinv.verify import all_signatures
 
 
 def rnd(sig, seed, bound=9):

@@ -27,8 +27,7 @@ from cliffinv import (
     reversion,
     reversion_delta,
 )
-
-from conftest import all_signatures
+from cliffinv.verify import all_signatures
 
 
 def rnd(sig, seed, bound=9):

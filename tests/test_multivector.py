@@ -5,8 +5,7 @@ from fractions import Fraction
 import pytest
 
 from cliffinv import GradeOutOfRange, Multivector, Signature, SignatureMismatch, inverse
-
-from conftest import all_signatures
+from cliffinv.verify import all_signatures
 
 
 S01 = Signature(0, 1)

@@ -16,8 +16,7 @@ from cliffinv import (
 from cliffinv import oracle as oracle_module
 from cliffinv.blades import blade_mul, blade_order, blade_square_sign
 from cliffinv.oracle import _blocks, _eliminate, _int_rows, _split
-
-from conftest import all_signatures
+from cliffinv.verify import all_signatures
 
 
 def rnd(sig, seed, bound=8):

@@ -5,8 +5,7 @@ import pytest
 
 from cliffinv import LexError, Multivector, ParseError, Signature, parse_expression, tokenize
 from cliffinv.parsing import MAX_POWER_BITS, parse
-
-from conftest import all_signatures
+from cliffinv.verify import all_signatures
 
 
 S01 = Signature(0, 1)

@@ -34,6 +34,7 @@ from .inversion import (
     InverseResult,
     InvolutionChain,
     alternate_chain,
+    chain_scalar,
     compose_inverse,
     default_chain,
     discriminant,
@@ -55,6 +56,7 @@ from .involutions import (
     invariant_grades,
     is_special_involution,
     named_map_matches,
+    product_grades,
     psi,
     psi_delta,
     reversion,

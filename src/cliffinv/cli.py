@@ -133,7 +133,11 @@ def _signature_from(args: argparse.Namespace) -> Signature:
 def _load_multivector(args: argparse.Namespace) -> Multivector:
     if args.file is not None:
         with open(args.file) as fh:
-            mv = Multivector.from_json_dict(json.load(fh))
+            try:
+                data = json.load(fh)
+            except RecursionError:
+                raise ValueError("malformed multivector JSON: nested too deeply") from None
+        mv = Multivector.from_json_dict(data)
         if args.p is not None or args.q is not None:
             stated = _signature_from(args)
             if stated != mv.sig:

@@ -1,10 +1,10 @@
 """Multivector inversion by chained involutions, plus closed-form discriminants.
 
 The construction: pick a grade-sign map f that reverses products on the
-current subspace, replace the running element a by a*f(a) (which lands in
-the fixed subspace of f), and repeat until the fixed subspace is the
-scalars.  The final scalar D is the discriminant: it vanishes exactly when
-the original element has no inverse, and otherwise
+current subspace, replace the running element a by a*f(a) (which f fixes,
+on whatever grades the product reaches), and repeat until only the scalars
+are reached.  The final scalar D is the discriminant: it vanishes exactly
+when the original element has no inverse, and otherwise
 
     a**-1 = (1/D) * f1(a1) * f2(a2) * ... * fm(am).
 
@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from .blades import Signature, blade_square_sign, blade_to_text, product_signs
 from .errors import DimensionMismatch, DimensionOutOfRange, NotInvertible, SubspaceViolation
@@ -30,8 +30,7 @@ from .involutions import (
     GradeSet,
     LengthDeltaMap,
     conjugation_delta,
-    invariant_grades,
-    is_special_involution,
+    product_grades,
     psi_delta,
     reversion_delta,
 )
@@ -42,38 +41,32 @@ from .multivector import Multivector, int_product
 class InvolutionChain:
     """An ordered list of grade-sign maps driving an element down to a scalar.
 
-    domains[i] is the grade set the i-th map acts on; each map must reverse
-    products there, each domain must be the fixed grade set of the previous
-    step, and the final fixed grade set must be {0}.
+    domains[i] is the grade set the i-th map acts on: the whole algebra
+    first, then the grades the previous step's a * f(a) can reach
+    (`product_grades`).  Each map must reverse products on its domain, and
+    the last step must reach only the scalars.
     """
 
     n: int
     steps: tuple[LengthDeltaMap, ...]
-    domains: tuple[GradeSet, ...] = field(default=())
+    domains: tuple[GradeSet, ...] = field(init=False)
 
     def __post_init__(self) -> None:
         if not 0 <= self.n <= 5:
             raise DimensionOutOfRange(f"chains exist for 0..5 generators, got {self.n}")
-        domains = tuple(frozenset(d) for d in self.domains)
-        if not domains and self.steps:
-            running: GradeSet = frozenset(range(self.n + 1))
-            built = []
-            for step in self.steps:
-                built.append(running)
-                running = invariant_grades(step, running)
-            domains = tuple(built)
-        object.__setattr__(self, "domains", domains)
-        if len(self.steps) != len(self.domains):
-            raise ValueError("chain needs one domain per step")
-        running = frozenset(range(self.n + 1))
-        for step, domain in zip(self.steps, self.domains):
-            if domain != running:
-                raise ValueError(f"step domain {sorted(domain)} is not the running fixed set {sorted(running)}")
-            if not is_special_involution(step, domain, self.n):
-                raise ValueError(f"{step} does not reverse products on grades {sorted(domain)}")
-            running = invariant_grades(step, domain)
+        running: GradeSet = frozenset(range(self.n + 1))
+        domains = []
+        for step in self.steps:
+            if step.n != self.n:
+                raise DimensionMismatch(f"map covers grades 0..{step.n}, expected 0..{self.n}")
+            reached = product_grades(step, running)
+            if reached is None:
+                raise ValueError(f"{step} does not reverse products on grades {sorted(running)}")
+            domains.append(running)
+            running = reached
         if running != frozenset({0}):
             raise ValueError(f"chain must end on the scalars, ended on grades {sorted(running)}")
+        object.__setattr__(self, "domains", tuple(domains))
 
 
 @dataclass(frozen=True)
@@ -119,53 +112,33 @@ def alternate_chain(n: int) -> InvolutionChain:
     raise DimensionOutOfRange(f"no alternate chain for {n} generators")
 
 
-class _ChainPlan(NamedTuple):
-    """A chain compiled for one signature, its closure proven when built.
-
-    `outside` holds the masks an input may not carry: the grades outside
-    the first domain.  Each step is a tuple of rows; a row
-    (i, ((j, m, w), ...)) lists every pair i <= j of the step's domain
-    blades whose terms land on mask m in its fixed grades, with integer
-    weight w, so that a * f(a) is the sum of w * a_i * a_j on e_m.
-    `residue` lists the non-unit masks the last fixed set allows: a nonzero
-    coefficient there means the chain did not end on a scalar.
-    """
-
-    outside: frozenset[int]
-    steps: tuple[tuple[tuple[int, tuple[tuple[int, int, int], ...]], ...], ...]
-    residue: tuple[int, ...]
-
-
-def _blades_in(grades: GradeSet, dim: int) -> tuple[int, ...]:
-    return tuple(m for m in range(dim) if m.bit_count() in grades)
+# A compiled step is a tuple of rows; a row (i, ((j, m, w), ...)) lists every
+# pair i <= j of the step's domain blades whose terms land on mask m, with
+# integer weight w, so that a * f(a) is the sum of w * a_i * a_j on e_m.
+_Step = tuple[tuple[int, tuple[tuple[int, int, int], ...]], ...]
 
 
 @lru_cache(maxsize=None)
-def _compile(sig: Signature, chain: InvolutionChain) -> _ChainPlan:
-    """Build the integer plan of a chain, proving each step lands in its fixed grades.
+def _compile(sig: Signature, chain: InvolutionChain) -> tuple[_Step, ...]:
+    """Build the integer plan of a chain, proving each step lands in the next domain.
 
     In a * f(a) the terms of blades i and j combine to a_i a_j (e_i f(e_j) +
     e_j f(e_i)): weight s(i,i)*delta(i) on the unit when i = j, else
     s(i,j)*delta(j) + s(j,i)*delta(i) on e_(i^j).  A step is closed exactly
-    when every pair landing outside its fixed grades has weight zero; a
-    chain with a step that is not raises SubspaceViolation, whatever the
-    input.
+    when every pair landing outside the chain's next domain (the scalars,
+    after the last step) has weight zero; a chain with a step that is not,
+    or whose first domain leaves out grades an input may carry, raises
+    SubspaceViolation, whatever the input.
     """
+    if chain.steps and chain.domains[0] != frozenset(range(sig.n + 1)):
+        raise SubspaceViolation(f"chain's first domain {sorted(chain.domains[0])} is not the whole algebra")
     signs = product_signs(sig)
     dim = sig.dim
-    running: GradeSet = chain.domains[0] if chain.steps else frozenset(range(sig.n + 1))
-    outside = frozenset(range(dim)) - frozenset(_blades_in(running, dim))
     steps = []
-    for k, (step, domain) in enumerate(zip(chain.steps, chain.domains), start=1):
-        if step.n != sig.n:
-            raise DimensionMismatch(f"step {k} map covers grades 0..{step.n} but the chain is for {sig}")
-        if not running <= domain:
-            raise SubspaceViolation(
-                f"chain step {k} domain {sorted(domain)} misses grades {sorted(running - domain)} it receives"
-            )
-        fixed = invariant_grades(step, domain)
+    targets = chain.domains[1:] + (frozenset({0}),)
+    for k, (step, domain, target) in enumerate(zip(chain.steps, chain.domains, targets), start=1):
         delta = [step.delta[m.bit_count()] for m in range(dim)]
-        blades = _blades_in(domain, dim)
+        blades = tuple(m for m in range(dim) if m.bit_count() in domain)
         rows = []
         for x, i in enumerate(blades):
             row = []
@@ -177,17 +150,16 @@ def _compile(sig: Signature, chain: InvolutionChain) -> _ChainPlan:
                 if not w:
                     continue
                 m = i ^ j
-                if m.bit_count() not in fixed:
+                if m.bit_count() not in target:
                     raise SubspaceViolation(
                         f"chain step {k} sends {blade_to_text(i)}, {blade_to_text(j)} to grade "
-                        f"{m.bit_count()}, outside its fixed grades {sorted(fixed)}"
+                        f"{m.bit_count()}, outside the next domain {sorted(target)}"
                     )
                 row.append((j, m, w))
             if row:
                 rows.append((i, tuple(row)))
         steps.append(tuple(rows))
-        running = fixed
-    return _ChainPlan(outside, tuple(steps), tuple(m for m in _blades_in(running, dim) if m))
+    return tuple(steps)
 
 
 def _run_chain(a: Multivector, chain: InvolutionChain) -> tuple[list[list[int]], int, int]:
@@ -201,14 +173,11 @@ def _run_chain(a: Multivector, chain: InvolutionChain) -> tuple[list[list[int]],
         raise DimensionMismatch(f"chain is for {chain.n} generators, element lives in {a.sig}")
     plan = _compile(a.sig, chain)
     nums, den = a._int_coeffs()
-    if not plan.outside.isdisjoint(nums):
-        grades = sorted({m.bit_count() for m in nums if m in plan.outside})
-        raise SubspaceViolation(f"element has grades {grades} outside the chain's first domain")
     cur = [0] * a.sig.dim
     for m, v in nums.items():
         cur[m] = v
     entering = []
-    for rows in plan.steps:
+    for rows in plan:
         entering.append(cur)
         acc = [0] * a.sig.dim
         for i, row in rows:
@@ -217,8 +186,6 @@ def _run_chain(a: Multivector, chain: InvolutionChain) -> tuple[list[list[int]],
                 for j, m, w in row:
                     acc[m] += w * ci * cur[j]
         cur = acc
-    if any(cur[m] for m in plan.residue):
-        raise SubspaceViolation("chain did not terminate on a scalar")
     return entering, cur[0], den
 
 
@@ -226,8 +193,8 @@ def compose_inverse(a: Multivector, chain: InvolutionChain) -> InverseResult:
     """Run the chain on a, returning the discriminant, factors, and inverse.
 
     Raises SubspaceViolation if the chain can leave the grade sets it
-    promises, or a has terms outside its first domain, which indicates a
-    broken chain rather than a property of the input.
+    promises, which indicates a broken chain rather than a property of the
+    input.
     """
     entering, d_num, den = _run_chain(a, chain)
     sig = a.sig
@@ -250,7 +217,7 @@ def compose_inverse(a: Multivector, chain: InvolutionChain) -> InverseResult:
     return InverseResult(d, tuple(factors), Multivector._from_ints(sig, product.items(), inv_den))
 
 
-def _chain_scalar(a: Multivector, chain: InvolutionChain) -> Fraction:
+def chain_scalar(a: Multivector, chain: InvolutionChain) -> Fraction:
     """The chain's final scalar D, without building factors or the inverse."""
     _, d_num, den = _run_chain(a, chain)
     return Fraction(d_num, den ** (1 << len(chain.steps)))
@@ -258,7 +225,7 @@ def _chain_scalar(a: Multivector, chain: InvolutionChain) -> Fraction:
 
 def discriminant(a: Multivector) -> Fraction:
     """The chain scalar; defined for every element, zero iff not invertible."""
-    return _chain_scalar(a, default_chain(a.sig.n))
+    return chain_scalar(a, default_chain(a.sig.n))
 
 
 def inverse(a: Multivector) -> Multivector:
@@ -274,7 +241,7 @@ def verify_d_equals_dprime(a: Multivector) -> bool:
     n = a.sig.n
     if n not in (3, 4):
         raise DimensionOutOfRange(f"alternate chain exists only for 3 or 4 generators, got {n}")
-    return discriminant(a) == _chain_scalar(a, alternate_chain(n))
+    return discriminant(a) == chain_scalar(a, alternate_chain(n))
 
 
 # ----------------------------------------------------------------------

@@ -11,14 +11,15 @@ S = (+)_{k in I} L_k exactly when its sign table satisfies
     delta(k + l - 2s) = delta(k) * delta(l) * (-1)**(k*l - s)
 
 for all k, l in I and every feasible overlap s between a grade-k and a
-grade-l blade.  `constraints_for` enumerates those equations and
-`delta_solutions` searches the 2^n candidate tables against them.
+grade-l blade.  `constraints_for` enumerates those equations,
+`delta_solutions` searches the 2^n candidate tables against them, and
+`product_grades` reads off the grades a * f(a) reaches.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import DimensionMismatch
 from .multivector import Multivector
@@ -169,12 +170,25 @@ def constraints_for(grades: Iterable[int], n: int) -> list[DeltaConstraint]:
     return out
 
 
+def product_grades(f: LengthDeltaMap, grades: Iterable[int]) -> Optional[GradeSet]:
+    """Grades a * f(a) reaches for a in the direct sum of the given grades:
+    the targets k + l - 2s that f fixes, as f(a * f(a)) = a * f(a) when f
+    reverses products there.  None when f does not."""
+    delta = f.delta
+    out = set()
+    for c in constraints_for(grades, f.n):
+        if not c.satisfied_by(delta):
+            return None
+        if delta[c.target] == 1:
+            out.add(c.target)
+    return frozenset(out)
+
+
 def is_special_involution(f: LengthDeltaMap, grades: Iterable[int], n: int) -> bool:
     """True iff f reverses products on the direct sum of the given grades."""
     if f.n != n:
         raise DimensionMismatch(f"map covers grades 0..{f.n}, expected 0..{n}")
-    delta = f.delta
-    return all(c.satisfied_by(delta) for c in constraints_for(grades, n))
+    return product_grades(f, grades) is not None
 
 
 def delta_solutions(grades: Iterable[int], n: int) -> list[LengthDeltaMap]:

@@ -298,5 +298,8 @@ class Multivector:
                 raise ValueError(
                     f"malformed multivector JSON: coefficient of {key} must be a number or a rational string"
                 )
-            coeffs[mask] = Fraction(str(value))
+            try:
+                coeffs[mask] = Fraction(str(value))
+            except ZeroDivisionError:
+                raise ValueError(f"malformed multivector JSON: zero denominator in coefficient of {key}") from None
         return cls(sig, coeffs)

@@ -264,5 +264,11 @@ def evaluate(ast: ExprAst, sig: Signature) -> Multivector:
 
 
 def parse_expression(text: str, sig: Signature) -> Multivector:
-    """Convenience wrapper: tokenize, parse, and evaluate in one call."""
-    return evaluate(parse(tokenize(text, sig.n)), sig)
+    """Convenience wrapper: tokenize, parse, and evaluate in one call.
+
+    Both recurse per nesting level and per term of a sum or product, so
+    input past Python's recursion limit is refused with a ValueError."""
+    try:
+        return evaluate(parse(tokenize(text, sig.n)), sig)
+    except RecursionError:
+        raise ValueError("expression nested too deeply (or too many terms in one sum or product)") from None

@@ -15,10 +15,11 @@ from typing import Iterable
 
 from .blades import Signature, blade_square_sign
 from .inversion import (
+    alternate_chain,
+    chain_scalar,
     compose_inverse,
     default_chain,
     discriminant_closed_form,
-    verify_d_equals_dprime,
 )
 from .multivector import Multivector
 from .oracle import oracle_inverse
@@ -59,7 +60,7 @@ def _verify_signature(sig: Signature, samples: int, seed: int, bound: int) -> li
     none; after the samples also the zero divisors 1 + b for each blade b
     squaring to +1 (these have no seed).
     closed-form (1 <= n <= 4): the closed-form polynomial equals D.
-    chain-agreement (n = 3 or 4): the alternate chain gives the same D.
+    chain-agreement (n = 3 or 4): the alternate chain's scalar equals D.
     """
     n = sig.n
     round_trip = CheckResult("round-trip", sig, samples)
@@ -68,6 +69,7 @@ def _verify_signature(sig: Signature, samples: int, seed: int, bound: int) -> li
     chains = CheckResult("chain-agreement", sig, samples) if n in (3, 4) else None
     one = Multivector.unit(sig)
     chain = default_chain(n)
+    alternate = alternate_chain(n) if chains is not None else None
     for s in range(seed, seed + samples):
         a = Multivector.random(sig, s, bound)
         result = compose_inverse(a, chain)
@@ -80,7 +82,7 @@ def _verify_signature(sig: Signature, samples: int, seed: int, bound: int) -> li
             oracle.fail(s, f"oracle disagreed on {a}")
         if closed is not None and discriminant_closed_form(a) != result.discriminant:
             closed.fail(s, f"closed form disagreed on {a}")
-        if chains is not None and not verify_d_equals_dprime(a):
+        if chains is not None and chain_scalar(a, alternate) != result.discriminant:
             chains.fail(s, f"chain scalars split on {a}")
     for b in range(1, sig.dim):
         if blade_square_sign(b, sig) == 1:

@@ -81,8 +81,8 @@ class TestInv:
 
     @pytest.mark.parametrize(
         "coeffs",
-        [[1, 2], "1+e1", 3, {"1": True}, {"1": None}, {"e1": [1]}],
-        ids=["list", "string", "number", "true", "null", "nested"],
+        [[1, 2], "1+e1", 3, {"1": True}, {"1": None}, {"e1": [1]}, {"1": "1/0"}],
+        ids=["list", "string", "number", "true", "null", "nested", "zero-denominator"],
     )
     def test_malformed_file_coeffs_exit_one(self, capsys, tmp_path, coeffs):
         path = tmp_path / "mv.json"
@@ -103,6 +103,28 @@ class TestInv:
         assert code == 1
         assert out == ""
         assert err.startswith("cliffinv: malformed multivector JSON: p must be a nonnegative integer")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "expr, deep_json",
+        [
+            ("(" * 300 + "1" + ")" * 300, None),
+            ("-" * 5000 + "1", None),
+            ("+".join(["1"] * 3001), None),
+            (None, "[" * 100000 + "]" * 100000),
+        ],
+        ids=["parentheses", "unary-minus", "flat-sum", "deep-json"],
+    )
+    def test_input_past_the_nesting_limit_exits_one(self, capsys, tmp_path, expr, deep_json):
+        if deep_json is None:
+            argv = ["-p", "0", "-q", "1", expr]
+        else:
+            path = tmp_path / "deep.json"
+            path.write_text(deep_json)
+            argv = ["--file", str(path)]
+        code, out, err = run(capsys, "inv", *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("cliffinv: ") and "nested too deeply" in err
         assert err.count("\n") == 1 and "Traceback" not in err
 
     @pytest.mark.parametrize("fmt", ["text", "json"])

@@ -57,8 +57,8 @@ class TestFaultInjection:
         [
             ("oracle_inverse", "oracle-equivalence", "oracle disagreed on",
              lambda real, a: Multivector.unit(a.sig)),
-            ("verify_d_equals_dprime", "chain-agreement", "chain scalars split on",
-             lambda real, a: False),
+            ("chain_scalar", "chain-agreement", "chain scalars split on",
+             lambda real, a, chain: real(a, chain) + 1),
             ("discriminant_closed_form", "closed-form", "closed form disagreed on",
              lambda real, a: real(a) + 1),
         ],
@@ -68,7 +68,9 @@ class TestFaultInjection:
         sig, seed, bad_seed = Signature(1, 2), 100, 104
         bad = Multivector.random(sig, bad_seed, 10)
         real = getattr(verify_mod, target)
-        monkeypatch.setattr(verify_mod, target, lambda a: wrong(real, a) if a == bad else real(a))
+        monkeypatch.setattr(
+            verify_mod, target, lambda a, *rest: wrong(real, a, *rest) if a == bad else real(a, *rest)
+        )
         results = run_verification([sig], 10, seed, 10)
         assert [r.name for r in results] == [
             "round-trip", "oracle-equivalence", "closed-form", "chain-agreement"

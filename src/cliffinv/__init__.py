@@ -40,7 +40,6 @@ from .inversion import (
     discriminant,
     discriminant_closed_form,
     inverse,
-    verify_d_equals_dprime,
 )
 from .involutions import (
     DeltaConstraint,

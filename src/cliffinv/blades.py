@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 MAX_GENERATORS = 5
 
@@ -54,10 +54,6 @@ class Signature:
         if not 1 <= i <= self.n:
             raise ValueError(f"generator index {i} outside 1..{self.n}")
         return -1 if i <= self.p else 1
-
-    def blades(self) -> Iterator[Blade]:
-        """All 2^n blade masks in (grade, mask) order."""
-        return iter(blade_order(self.n))
 
     def __str__(self) -> str:
         return f"Cl({self.p},{self.q})"

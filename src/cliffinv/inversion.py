@@ -10,7 +10,7 @@ when the original element has no inverse, and otherwise
 
 One chain per dimension suffices, and for three and four generators a
 second, independent chain produces the same scalar (`alternate_chain`,
-`verify_d_equals_dprime`).
+checked with `chain_scalar`).
 
 For up to four generators the discriminant also has an explicit polynomial
 in the coefficients (`discriminant_closed_form`), evaluated here exactly as
@@ -172,10 +172,7 @@ def _run_chain(a: Multivector, chain: InvolutionChain) -> tuple[list[list[int]],
     if chain.n != a.sig.n:
         raise DimensionMismatch(f"chain is for {chain.n} generators, element lives in {a.sig}")
     plan = _compile(a.sig, chain)
-    nums, den = a._int_coeffs()
-    cur = [0] * a.sig.dim
-    for m, v in nums.items():
-        cur[m] = v
+    cur, den = a._int_dense()
     entering = []
     for rows in plan:
         entering.append(cur)
@@ -236,14 +233,6 @@ def inverse(a: Multivector) -> Multivector:
     return result.inverse
 
 
-def verify_d_equals_dprime(a: Multivector) -> bool:
-    """True iff the default and alternate chains produce the same scalar."""
-    n = a.sig.n
-    if n not in (3, 4):
-        raise DimensionOutOfRange(f"alternate chain exists only for 3 or 4 generators, got {n}")
-    return discriminant(a) == chain_scalar(a, alternate_chain(n))
-
-
 # ----------------------------------------------------------------------
 # Closed-form discriminants for one to four generators
 # ----------------------------------------------------------------------
@@ -266,10 +255,7 @@ def discriminant_closed_form(a: Multivector) -> Fraction:
     n = a.sig.n
     if not 1 <= n <= 4:
         raise DimensionOutOfRange(f"closed form exists for 1..4 generators, got {n}")
-    nums, den = a._int_coeffs()
-    x = [0] * a.sig.dim
-    for m, v in nums.items():
-        x[m] = v
+    x, den = a._int_dense()
     form, degree = _CLOSED_FORMS[n]
     return Fraction(form(x, a.sig), den**degree)
 

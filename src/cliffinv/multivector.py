@@ -207,6 +207,14 @@ class Multivector:
             return {m: c.numerator for m, c in self._c.items()}, 1
         return {m: c.numerator * (den // c.denominator) for m, c in self._c.items()}, den
 
+    def _int_dense(self) -> tuple[list[int], int]:
+        """Integer numerators indexed by mask, zeros included, plus their denominator."""
+        nums, den = self._int_coeffs()
+        dense = [0] * self.sig.dim
+        for m, v in nums.items():
+            dense[m] = v
+        return dense, den
+
     def _geometric_product(self, other: "Multivector") -> "Multivector":
         # Clear denominators once, multiply in integers, normalise at the end.
         a, da = self._int_coeffs()

@@ -25,9 +25,15 @@ x_y = 2^-k sum_eps c_eps(y) z^eps_rep(y).  For n = 5 that is four 8x8
 systems (eight 4x4 for Cl(2,3)) in place of one 32x32; Cl(0,0), Cl(1,0)
 and Cl(2,0) have no such blade, and their one block is M(a) itself.
 
+No 2^n x 2^n matrix is built on the way: every cell M[y][m] is
++-a_(y ^ m), so a table cached per signature names the coefficient and
+the sign behind each cell of the blocks, and the blocks are read straight
+off a's integer numerators.  `regular_matrix` is the same read with no
+blades, the whole of M(a) as one block.
+
 This module deliberately shares no code with the chain-based inversion it
-is used to verify, beyond the blade sign table: the split is built from
-`product_signs` alone, and the blocks from the one integer M(a).
+is used to verify, beyond the blade sign table: the table is built from
+`product_signs` alone.
 """
 
 from __future__ import annotations
@@ -54,33 +60,14 @@ class RegularMatrix:
         return tuple(row[j] for row in self.entries)
 
 
-def _basis_index(n: int) -> dict[int, int]:
-    return {mask: i for i, mask in enumerate(blade_order(n))}
-
-
 def regular_matrix(a: Multivector) -> RegularMatrix:
     """M(a) with M(a) . vec(b) = vec(a*b); an algebra homomorphism in a."""
-    rows, den = _int_rows(a)
+    # No split blades: one block, M(a) itself on the blade_order basis.
+    (rows,), den = _blocks(a, _split(a.sig, ()))
     # The 4^n cells hold only 0 and the +-numerators: one Fraction per value.
     frac = {x: Fraction(x, den) for x in {x for row in rows for x in row}}
     entries = tuple(tuple(map(frac.__getitem__, row)) for row in rows)
     return RegularMatrix(len(rows), entries, blade_order(a.sig.n))
-
-
-def _int_rows(a: Multivector) -> tuple[list[list[int]], int]:
-    """Integer left-multiplication matrix plus the denominator cleared from a."""
-    sig = a.sig
-    dim = sig.dim
-    basis = blade_order(sig.n)
-    index = _basis_index(sig.n)
-    signs = product_signs(sig)
-    coeffs, den = a._int_coeffs()
-    rows = [[0] * dim for _ in range(dim)]
-    for j, mb in enumerate(basis):
-        for ma, ca in coeffs.items():
-            s = signs[ma * dim + mb]
-            rows[index[ma ^ mb]][j] = ca if s > 0 else -ca
-    return rows, den
 
 
 class _Split(NamedTuple):
@@ -90,27 +77,29 @@ class _Split(NamedTuple):
     the blades b_i with bit i set in S; for a representative r, y = r ^ b_S
     runs over its coset, with e_r b_S = sign * e_y.  As b_S f_eps =
     eps_S f_eps, c_eps(y) = sign * eps_S, where eps_S = (-1)^|eps & S|.
+    Before the transform over S, cell (S, r, c) of the stacked blocks is
+    sign * M[y][c] = sign * (+-a_(y ^ c)), as e_(y ^ c) e_c = +-e_y.
     """
 
     blades: tuple[int, ...]  # b_1..b_k
-    columns: tuple[int, ...]  # basis index of each representative r, the unit first
-    members: tuple[tuple[tuple[int, int], ...], ...]  # [S][r]: (basis index of y, sign)
+    cells: tuple[tuple[tuple[int, int], ...], ...]  # [S][r * side + c]: (mask, sign)
     gather: tuple[tuple[int, int, int, int], ...]  # per basis blade y: (mask, S, r, sign)
 
 
 @lru_cache(maxsize=None)
-def _split(sig: Signature) -> _Split:
-    """Greedy blades in mask order and the cosets of their span."""
+def _split(sig: Signature, blades: Optional[tuple[int, ...]] = None) -> _Split:
+    """The cosets of the span of blades, by default greedy ones in mask order."""
     dim = sig.dim
     signs = product_signs(sig)
-    blades: list[int] = []
-    span = {0}
-    for b in range(1, dim):
-        if signs[b * dim + b] > 0 and b not in span and all(
-            signs[b * dim + c] == signs[c * dim + b] for c in blades
-        ):
-            blades.append(b)
-            span |= {m ^ b for m in span}
+    if blades is None:
+        blades = ()
+        span = {0}
+        for b in range(1, dim):
+            if signs[b * dim + b] > 0 and b not in span and all(
+                signs[b * dim + c] == signs[c * dim + b] for c in blades
+            ):
+                blades += (b,)
+                span |= {m ^ b for m in span}
     products = []  # b_S as (sign, mask)
     for bits in range(1 << len(blades)):
         sign, mask = 1, 0
@@ -120,15 +109,18 @@ def _split(sig: Signature) -> _Split:
                 mask ^= b
         products.append((sign, mask))
     basis = blade_order(sig.n)
-    index = _basis_index(sig.n)
     # Each coset is represented by its smallest mask, so the unit represents the span.
     reps = [r for r in basis if all(r < r ^ m for _, m in products[1:])]
-    members = tuple(
-        tuple((index[r ^ m], s * signs[r * dim + m]) for r in reps) for s, m in products
-    )
-    where = {i: (S, r, sign) for S, row in enumerate(members) for r, (i, sign) in enumerate(row)}
-    gather = tuple((basis[i], *where[i]) for i in range(dim))
-    return _Split(tuple(blades), tuple(index[r] for r in reps), members, gather)
+    cells = []
+    where = {}
+    for S, (s, m) in enumerate(products):
+        row: list[tuple[int, int]] = []
+        for r, rep in enumerate(reps):
+            y, sign = rep ^ m, s * signs[rep * dim + m]
+            where[y] = (S, r, sign)
+            row += ((y ^ c, sign * signs[(y ^ c) * dim + c]) for c in reps)
+        cells.append(tuple(row))
+    return _Split(blades, tuple(cells), tuple((y, *where[y]) for y in basis))
 
 
 def _hadamard(w: list[list[int]]) -> None:
@@ -143,19 +135,18 @@ def _hadamard(w: list[list[int]]) -> None:
         h <<= 1
 
 
-def _blocks(rows: list[list[int]], split: _Split) -> list[list[list[int]]]:
-    """The diagonal blocks B_eps of the integer matrix rows, eps in bit order.
+def _blocks(a: Multivector, split: _Split) -> tuple[list[list[list[int]]], int]:
+    """The integer blocks B_eps, eps in bit order, and the denominator cleared from a.
 
     Row r of B_eps is sum_S c_eps(y) M[y] over y = r ^ b_S, restricted to
-    the representative columns: stacking, for each S, the rows sign * M[y]
-    of every representative, one Walsh-Hadamard transform over S gives
-    every block at once.
+    the representative columns: reading the stacked cells off a's
+    numerators, one Walsh-Hadamard transform over S gives every block.
     """
-    cols = split.columns
-    side = len(cols)
-    stacked = [[rows[i][j] * s for i, s in row for j in cols] for row in split.members]
+    x, den = a._int_dense()
+    side = a.sig.dim >> len(split.blades)
+    stacked = [[s * x[m] for m, s in cells] for cells in split.cells]
     _hadamard(stacked)
-    return [[flat[r : r + side] for r in range(0, side * side, side)] for flat in stacked]
+    return [[flat[r : r + side] for r in range(0, side * side, side)] for flat in stacked], den
 
 
 def _eliminate(rows: list[list[int]], width: int) -> bool:
@@ -195,17 +186,17 @@ def _eliminate(rows: list[list[int]], width: int) -> bool:
 
 def oracle_is_invertible(a: Multivector) -> bool:
     """True iff the regular matrix has full rank, i.e. every block has."""
-    rows, _ = _int_rows(a)
-    return all(_eliminate(block, len(block)) for block in _blocks(rows, _split(a.sig)))
+    blocks, _ = _blocks(a, _split(a.sig))
+    return all(_eliminate(block, len(block)) for block in blocks)
 
 
 def oracle_inverse(a: Multivector) -> Optional[Multivector]:
     """Solve M(a) x = vec(1) exactly; None when the matrix is singular."""
     sig = a.sig
     split = _split(sig)
-    rows, den = _int_rows(a)
+    blocks, den = _blocks(a, split)
     solved = []
-    for block in _blocks(rows, split):
+    for block in blocks:
         side = len(block)
         # vec(1): the unit is the first representative.
         for i, row in enumerate(block):

@@ -1,6 +1,7 @@
 import ast
 import random
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 
 from cliffinv import (
@@ -15,12 +16,25 @@ from cliffinv import (
 )
 from cliffinv import oracle as oracle_module
 from cliffinv.blades import blade_mul, blade_order, blade_square_sign
-from cliffinv.oracle import _blocks, _eliminate, _int_rows, _split
+from cliffinv.oracle import _blocks, _eliminate, _split
 from cliffinv.verify import all_signatures
 
 
 def rnd(sig, seed, bound=8):
     return Multivector.random(sig, seed, bound)
+
+
+def _int_matrix(a):
+    """Integer M(a) on blade_order and the denominator cleared from a, from blade_mul alone."""
+    den = lcm(*(c.denominator for _, c in a.items()))
+    basis = blade_order(a.sig.n)
+    index = {mask: i for i, mask in enumerate(basis)}
+    rows = [[0] * len(basis) for _ in basis]
+    for j, mb in enumerate(basis):
+        for ma, c in a.items():
+            sign, mask = blade_mul(ma, mb, a.sig)
+            rows[index[mask]][j] = sign * int(c * den)
+    return rows, den
 
 
 def mat_mul(a, b):
@@ -49,15 +63,17 @@ class TestRegularMatrix:
         assert m.entries == ((Fraction(0), Fraction(1)), (Fraction(1), Fraction(0)))
 
     def test_columns_are_products(self):
-        sig = Signature(1, 2)
-        a = rnd(sig, 3)
-        m = regular_matrix(a)
-        index = {mask: i for i, mask in enumerate(m.basis)}
-        for j, mb in enumerate(m.basis):
-            product = a * Multivector.blade(sig, mb)
-            col = m.column(j)
-            for mask, i in index.items():
-                assert col[i] == product.coeff(mask)
+        rng = random.Random(3)
+        for sig in all_signatures():
+            a = rnd(sig, rng.randrange(10**6))
+            m = regular_matrix(a)
+            assert m.basis == blade_order(sig.n)
+            index = {mask: i for i, mask in enumerate(m.basis)}
+            for j, mb in enumerate(m.basis):
+                product = a * Multivector.blade(sig, mb)
+                col = m.column(j)
+                for mask, i in index.items():
+                    assert col[i] == product.coeff(mask)
 
     def test_homomorphism(self):
         rng = random.Random(2)
@@ -136,7 +152,7 @@ def _elimination_profile(a):
             self.writes += 1
             super().__setitem__(i, row)
 
-    int_rows, _ = _int_rows(a)
+    int_rows, _ = _int_matrix(a)
     rows = Rows(row + [1 if i == 0 else 0] for i, row in enumerate(int_rows))
     if not _eliminate(rows, len(rows) + 1):
         return rows.writes // 2, 0
@@ -188,9 +204,9 @@ class TestOracleIntegerBackSubstitution:
 
 def _full_matrix_oracle(a):
     """The unsplit oracle as reference: (full rank, inverse) from one 2^n x 2^n elimination."""
-    rows, _ = _int_rows(a)
+    rows, _ = _int_matrix(a)
     full_rank = _eliminate(rows, len(rows))
-    rows, den = _int_rows(a)
+    rows, den = _int_matrix(a)
     dim = len(rows)
     for i, row in enumerate(rows):
         row.append(1 if i == 0 else 0)
@@ -231,9 +247,9 @@ def _block_profiles(a):
             self.writes += 1
             super().__setitem__(i, row)
 
-    int_rows, _ = _int_rows(a)
+    blocks, _ = _blocks(a, _split(a.sig))
     out = []
-    for block in _blocks(int_rows, _split(a.sig)):
+    for block in blocks:
         rows = Rows(row + [1 if i == 0 else 0] for i, row in enumerate(block))
         full = _eliminate(rows, len(rows) + 1)
         out.append((len(rows), rows.writes // 2, rows[-1][-2] if full else 0))
@@ -257,17 +273,29 @@ class TestIdempotentSplit:
                 assert b not in span
                 span |= {m ^ b for m in span}
             assert len(span) == 1 << k
-            # 2^k blocks of side 2^(n-k): the cosets cover every basis index once.
-            assert len(split.members) == 1 << k
-            assert all(len(row) == len(split.columns) == sig.dim >> k for row in split.members)
-            assert sorted(i for row in split.members for i, _ in row) == list(range(sig.dim))
-            assert split.members[0] == tuple((j, 1) for j in split.columns)
-            assert split.columns[0] == 0
-            basis = blade_order(sig.n)
-            assert [(mask, split.members[S][r]) for mask, S, r, _ in split.gather] == [
-                (basis[i], (i, sign)) for i, (_, _, _, sign) in enumerate(split.gather)
-            ]
-            sides[(sig.p, sig.q)] = sig.dim >> k
+            # 2^k blocks of side 2^(n-k); the representative column c = 0 of
+            # row (S, r) holds the coset member y itself, as M[y][0] = a_y.
+            side = sig.dim >> k
+            assert len(split.cells) == 1 << k
+            assert all(len(cells) == side * side for cells in split.cells)
+            members = [[cells[r * side] for r in range(side)] for cells in split.cells]
+            # The cosets cover every basis blade once.
+            assert sorted(y for row in members for y, _ in row) == list(range(sig.dim))
+            assert all(sign in (1, -1) for row in members for _, sign in row)
+            # The unit represents the span: S = 0 lists the representatives,
+            # the unit first, and the unit's coset is the span.
+            reps = [y for y, _ in members[0]]
+            assert reps[0] == 0 and all(sign == 1 for _, sign in members[0])
+            assert {row[0][0] for row in members} == span
+            # Column c of row (S, r) reads a at y ^ rep_c.
+            assert all(
+                cells[r * side + c][0] == members[S][r][0] ^ rep
+                for S, cells in enumerate(split.cells) for r in range(side) for c, rep in enumerate(reps)
+            )
+            # gather agrees with the cells.
+            assert [mask for mask, _, _, _ in split.gather] == list(blade_order(sig.n))
+            assert all(members[S][r] == (mask, sign) for mask, S, r, sign in split.gather)
+            sides[(sig.p, sig.q)] = side
         assert sides[(0, 0)] == 1 and sides[(1, 0)] == 2 and sides[(2, 0)] == 4
         assert {pq: s for pq, s in sides.items() if sum(pq) == 5} == {
             (0, 5): 8, (1, 4): 8, (2, 3): 4, (3, 2): 8, (4, 1): 8, (5, 0): 8,
@@ -276,9 +304,8 @@ class TestIdempotentSplit:
     def test_blocks_are_left_multiplication_on_the_ideals(self):
         # a * e_m f_eps = sum_r B_eps[r][m] e_r f_eps for each representative m.
         rng = random.Random(14)
-        for sig in all_signatures(0, 4) + [Signature(2, 3), Signature(0, 5)]:
+        for sig in all_signatures():
             split = _split(sig)
-            basis = blade_order(sig.n)
             one = Multivector.unit(sig)
             idempotents = []
             for eps in range(1 << len(split.blades)):
@@ -292,10 +319,10 @@ class TestIdempotentSplit:
                 total = total + f
             assert total == one
             a = rnd(sig, rng.randrange(10**6), 5)
-            rows, den = _int_rows(a)
+            blocks, den = _blocks(a, split)
             assert den == 1
-            reps = [Multivector.blade(sig, basis[j]) for j in split.columns]
-            for f, block in zip(idempotents, _blocks(rows, split)):
+            reps = [Multivector.blade(sig, mask) for mask, S, _, _ in split.gather if S == 0]
+            for f, block in zip(idempotents, blocks):
                 for m, e_m in enumerate(reps):
                     image = Multivector.zero(sig)
                     for r, e_r in enumerate(reps):

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Optional
 
 from .blades import Signature, blade_square_sign, blade_to_text, product_signs
@@ -34,7 +34,7 @@ from .involutions import (
     psi_delta,
     reversion_delta,
 )
-from .multivector import Multivector, int_product
+from .multivector import Multivector
 
 
 @dataclass(frozen=True)
@@ -69,17 +69,46 @@ class InvolutionChain:
         object.__setattr__(self, "domains", tuple(domains))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InverseResult:
     """Outcome of a chain run: the scalar D, the factor list, and the inverse.
 
     The element times the ordered factor product equals D exactly; the
     inverse is present iff D is nonzero and is then (1/D) times that product.
+    The factors are built on their first read, by re-running the chain on
+    the element; until then the result holds only the element and the chain.
+    Results compare and hash by (discriminant, factors, inverse).
     """
 
     discriminant: Fraction
-    factors: tuple[Multivector, ...]
     inverse: Optional[Multivector]
+    _a: Multivector = field(repr=False)
+    _chain: InvolutionChain = field(repr=False)
+
+    @cached_property
+    def factors(self) -> tuple[Multivector, ...]:
+        """f1(a1), ..., fm(am), each step's map applied to the element entering it."""
+        a, chain = self._a, self._chain
+        entering, _, den = _run_chain(a, chain)
+        factors: list[Multivector] = []
+        step_den = den
+        for step, cur in zip(chain.steps, entering):
+            a_k = Multivector._from_ints(a.sig, enumerate(cur), step_den) if factors else a
+            factors.append(step(a_k))
+            step_den *= step_den
+        return tuple(factors)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, InverseResult):
+            return NotImplemented
+        if (self.discriminant, self.inverse) != (other.discriminant, other.inverse):
+            return False
+        # The factors are a function of the element and the chain, so equal
+        # inputs settle it without building them.
+        return (self._a == other._a and self._chain == other._chain) or self.factors == other.factors
+
+    def __hash__(self) -> int:
+        return hash((self.discriminant, self.factors, self.inverse))
 
 
 @lru_cache(maxsize=None)
@@ -112,14 +141,26 @@ def alternate_chain(n: int) -> InvolutionChain:
     raise DimensionOutOfRange(f"no alternate chain for {n} generators")
 
 
-# A compiled step is a tuple of rows; a row (i, ((j, m, w), ...)) lists every
-# pair i <= j of the step's domain blades whose terms land on mask m, with
-# integer weight w, so that a * f(a) is the sum of w * a_i * a_j on e_m.
-_Step = tuple[tuple[int, tuple[tuple[int, int, int], ...]], ...]
+# A compiled plan is a tuple of rows; a row (i, ((j, m, w), ...)) adds
+# w * x_i * y_j onto mask m for each listed j (`_fold`).  A chain step folds
+# a with itself, listing every pair i <= j of the step's domain blades with
+# a nonzero weight, so that a * f(a) is the sum of w * a_i * a_j on e_m.
+_Plan = tuple[tuple[int, tuple[tuple[int, int, int], ...]], ...]
+
+
+def _fold(rows: _Plan, x: list[int], y: list[int], dim: int) -> list[int]:
+    """Run one plan on integer coefficient lists indexed by mask."""
+    acc = [0] * dim
+    for i, row in rows:
+        xi = x[i]
+        if xi:
+            for j, m, w in row:
+                acc[m] += w * xi * y[j]
+    return acc
 
 
 @lru_cache(maxsize=None)
-def _compile(sig: Signature, chain: InvolutionChain) -> tuple[_Step, ...]:
+def _compile(sig: Signature, chain: InvolutionChain) -> tuple[_Plan, ...]:
     """Build the integer plan of a chain, proving each step lands in the next domain.
 
     In a * f(a) the terms of blades i and j combine to a_i a_j (e_i f(e_j) +
@@ -162,6 +203,31 @@ def _compile(sig: Signature, chain: InvolutionChain) -> tuple[_Step, ...]:
     return tuple(steps)
 
 
+@lru_cache(maxsize=None)
+def _assembly(sig: Signature, chain: InvolutionChain) -> tuple[_Plan, ...]:
+    """The integer plan of P * f1(a1) * ... * fm(am), one plan per factor.
+
+    Factor k carries only the blades j of step k's domain, and the running
+    product P only the masks its earlier factors reach from the unit.  Row
+    j of factor k lists (i, i^j, s(i,j)*delta_k(j)) for every such mask i,
+    so folding a_k's numerators with P's gives the numerators of P * f_k(a_k).
+    Built only for chains `_compile` has proved closed.
+    """
+    signs = product_signs(sig)
+    dim = sig.dim
+    support = [0]
+    factors = []
+    for step, domain in zip(chain.steps, chain.domains):
+        rows = []
+        for j in range(dim):
+            if j.bit_count() in domain:
+                d = step.delta[j.bit_count()]
+                rows.append((j, tuple((i, i ^ j, signs[i * dim + j] * d) for i in support)))
+        factors.append(tuple(rows))
+        support = sorted({i ^ j for i in support for j, _ in rows})
+    return tuple(factors)
+
+
 def _run_chain(a: Multivector, chain: InvolutionChain) -> tuple[list[list[int]], int, int]:
     """Run the chain on integer numerators: a = N / den with N integral.
 
@@ -173,45 +239,35 @@ def _run_chain(a: Multivector, chain: InvolutionChain) -> tuple[list[list[int]],
         raise DimensionMismatch(f"chain is for {chain.n} generators, element lives in {a.sig}")
     plan = _compile(a.sig, chain)
     cur, den = a._int_dense()
+    dim = a.sig.dim
     entering = []
     for rows in plan:
         entering.append(cur)
-        acc = [0] * a.sig.dim
-        for i, row in rows:
-            ci = cur[i]
-            if ci:
-                for j, m, w in row:
-                    acc[m] += w * ci * cur[j]
-        cur = acc
+        cur = _fold(rows, cur, cur, dim)
     return entering, cur[0], den
 
 
 def compose_inverse(a: Multivector, chain: InvolutionChain) -> InverseResult:
     """Run the chain on a, returning the discriminant, factors, and inverse.
 
-    Raises SubspaceViolation if the chain can leave the grade sets it
-    promises, which indicates a broken chain rather than a property of the
-    input.
+    The inverse is assembled on the chain's integer numerators; the factors
+    are built only when the result's `factors` is first read.  Raises
+    SubspaceViolation if the chain can leave the grade sets it promises,
+    which indicates a broken chain rather than a property of the input.
     """
     entering, d_num, den = _run_chain(a, chain)
-    sig = a.sig
-    factors: list[Multivector] = []
-    step_den = den
-    for step, cur in zip(chain.steps, entering):
-        a_k = Multivector._from_ints(sig, enumerate(cur), step_den) if factors else a
-        factors.append(step(a_k))
-        step_den *= step_den
-    d = Fraction(d_num, step_den)
+    d = Fraction(d_num, den ** (1 << len(chain.steps)))
     if d_num == 0:
-        return InverseResult(d, tuple(factors), None)
-    # a**-1 = (1/D) * f1 * ... * fm, where 1/D = den**(2**m) / d_num.
-    product = {0: step_den}
-    inv_den = d_num
-    for f in factors:
-        f_num, f_den = f._int_coeffs()
-        product = dict(enumerate(int_product(product, f_num, sig)))
-        inv_den *= f_den
-    return InverseResult(d, tuple(factors), Multivector._from_ints(sig, product.items(), inv_den))
+        return InverseResult(d, None, a, chain)
+    # a**-1 = (1/D) * f1 * ... * fm.  The k-th factor's numerators sit over
+    # den**(2**(k-1)), so the product sits over den**(2**m - 1), and with
+    # 1/D = den**(2**m) / d_num the inverse is den * (factor numerators) / d_num.
+    dim = a.sig.dim
+    product = [0] * dim
+    product[0] = den
+    for rows, cur in zip(_assembly(a.sig, chain), entering):
+        product = _fold(rows, cur, product, dim)
+    return InverseResult(d, Multivector._from_ints(a.sig, enumerate(product), d_num), a, chain)
 
 
 def chain_scalar(a: Multivector, chain: InvolutionChain) -> Fraction:

@@ -24,9 +24,10 @@ _ZERO = Fraction(0)
 def int_product(a: Mapping[Blade, int], b: Mapping[Blade, int], sig: Signature) -> list[int]:
     """Geometric product of two integer coefficient maps under a signature.
 
-    This is the package's one multiply-accumulate kernel: every product of
-    multivectors, and the assembly of a chain inverse, runs through it.
-    Returns the coefficient of every blade, indexed by mask, zeros included.
+    This is the kernel of `Multivector.__mul__`.  The inversion chain and
+    the assembly of its inverse run on compiled integer plans instead
+    (`inversion._fold`).  Returns the coefficient of every blade, indexed by
+    mask, zeros included.
     """
     signs = product_signs(sig)
     dim = sig.dim

@@ -298,6 +298,106 @@ class TestKernelEquivalence:
             assert alternate_chain(n) is alternate_chain(n)
 
 
+class TestInverseResult:
+    """The result's value contract, with factors built on first read."""
+
+    def test_factors_do_not_depend_on_read_order(self):
+        for p in range(6):
+            a = rnd(Signature(p, 5 - p), p)
+            chain = default_chain(5)
+            first = compose_inverse(a, chain)
+            factors = first.factors
+            inv = first.inverse
+            second = compose_inverse(a, chain)
+            assert second.inverse == inv
+            assert second.factors == factors
+            assert first.factors is factors
+
+    def test_equal_runs_compare_and_hash_equal(self):
+        for sig in all_signatures():
+            a = rnd(sig, 11)
+            chain = default_chain(sig.n)
+            one, two = compose_inverse(a, chain), compose_inverse(a, chain)
+            assert one == two
+            assert hash(one) == hash(two)
+            two.factors
+            assert hash(one) == hash(two) and one == two
+
+    def test_chains_with_equal_inverse_but_other_factors_compare_unequal(self):
+        a = rnd(Signature(1, 2), 5)
+        default = compose_inverse(a, default_chain(3))
+        alternate = compose_inverse(a, alternate_chain(3))
+        assert default.discriminant == alternate.discriminant
+        assert default.inverse == alternate.inverse
+        assert default.factors != alternate.factors
+        assert default != alternate
+
+    def test_factors_of_zero_divisors_multiply_to_discriminant(self):
+        for sig in all_signatures(1):
+            chain = default_chain(sig.n)
+            for b in range(1, sig.dim):
+                if blade_square_sign(b, sig) != 1:
+                    continue
+                for a in (Multivector(sig, {0: 1, b: 1}), rnd(sig, b) * Multivector(sig, {0: 1, b: 1})):
+                    result = compose_inverse(a, chain)
+                    assert result.discriminant == 0 and result.inverse is None
+                    assert len(result.factors) == len(chain.steps)
+                    prod = a
+                    for f in result.factors:
+                        prod = prod * f
+                    assert prod == Multivector.zero(sig)
+            zero = compose_inverse(Multivector.zero(sig), chain)
+            assert zero.discriminant == 0 and zero.inverse is None
+            assert len(zero.factors) == len(chain.steps)
+            assert zero != result
+
+    def test_zero_generators_have_no_factors(self):
+        sig = Signature(0, 0)
+        for value in (Fraction(3), Fraction(-2, 7)):
+            result = compose_inverse(Multivector.scalar(sig, value), default_chain(0))
+            assert result.factors == ()
+            assert result.discriminant == value
+            assert result.inverse == Multivector.scalar(sig, 1 / value)
+
+
+class TestLaziness:
+    """Inverting builds no factor; reading `factors` applies each map once."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = {"map": 0, "mul": 0}
+        apply, mul = LengthDeltaMap.__call__, Multivector.__mul__
+
+        def counted_apply(self, a):
+            counts["map"] += 1
+            return apply(self, a)
+
+        def counted_mul(self, other):
+            counts["mul"] += 1
+            return mul(self, other)
+
+        monkeypatch.setattr(LengthDeltaMap, "__call__", counted_apply)
+        monkeypatch.setattr(Multivector, "__mul__", counted_mul)
+        return counts
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_inverting_calls_no_map_and_no_product(self, calls, n):
+        sig = Signature(n // 2, n - n // 2)
+        samples = [rnd(sig, 3), Multivector.zero(sig)]
+        chain = default_chain(n)
+        results = [compose_inverse(a, chain) for a in samples]
+        for a in samples:
+            discriminant(a)
+            if a:
+                inverse(a)
+        assert results == [compose_inverse(a, chain) for a in samples]
+        assert calls == {"map": 0, "mul": 0}
+        for result in results:
+            result.factors
+            result.factors
+        assert calls == {"map": len(samples) * len(chain.steps), "mul": 0}
+
+
 class TestInverse:
     def test_self_inverse_generator(self):
         sig = Signature(0, 2)

@@ -82,8 +82,8 @@ class InverseResult:
 
     discriminant: Fraction
     inverse: Optional[Multivector]
-    _a: Multivector = field(repr=False)
-    _chain: InvolutionChain = field(repr=False)
+    _a: Multivector = field(repr=False, kw_only=True)
+    _chain: InvolutionChain = field(repr=False, kw_only=True)
 
     @cached_property
     def factors(self) -> tuple[Multivector, ...]:
@@ -101,11 +101,7 @@ class InverseResult:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, InverseResult):
             return NotImplemented
-        if (self.discriminant, self.inverse) != (other.discriminant, other.inverse):
-            return False
-        # The factors are a function of the element and the chain, so equal
-        # inputs settle it without building them.
-        return (self._a == other._a and self._chain == other._chain) or self.factors == other.factors
+        return (self.discriminant, self.inverse) == (other.discriminant, other.inverse) and self.factors == other.factors
 
     def __hash__(self) -> int:
         return hash((self.discriminant, self.factors, self.inverse))
@@ -258,7 +254,7 @@ def compose_inverse(a: Multivector, chain: InvolutionChain) -> InverseResult:
     entering, d_num, den = _run_chain(a, chain)
     d = Fraction(d_num, den ** (1 << len(chain.steps)))
     if d_num == 0:
-        return InverseResult(d, None, a, chain)
+        return InverseResult(d, None, _a=a, _chain=chain)
     # a**-1 = (1/D) * f1 * ... * fm.  The k-th factor's numerators sit over
     # den**(2**(k-1)), so the product sits over den**(2**m - 1), and with
     # 1/D = den**(2**m) / d_num the inverse is den * (factor numerators) / d_num.
@@ -267,7 +263,7 @@ def compose_inverse(a: Multivector, chain: InvolutionChain) -> InverseResult:
     product[0] = den
     for rows, cur in zip(_assembly(a.sig, chain), entering):
         product = _fold(rows, cur, product, dim)
-    return InverseResult(d, Multivector._from_ints(a.sig, enumerate(product), d_num), a, chain)
+    return InverseResult(d, Multivector._from_ints(a.sig, enumerate(product), d_num), _a=a, _chain=chain)
 
 
 def chain_scalar(a: Multivector, chain: InvolutionChain) -> Fraction:

@@ -69,8 +69,8 @@ def apply_delta(f: LengthDeltaMap, a: Multivector) -> Multivector:
     if a.sig.n != f.n:
         raise DimensionMismatch(f"map covers grades 0..{f.n} but element lives in {a.sig}")
     delta = f.delta
-    out = {m: (c if delta[m.bit_count()] > 0 else -c) for m, c in a.items()}
-    return Multivector._make(a.sig, out)
+    out = ((m, v if delta[m.bit_count()] > 0 else -v) for m, v in a._n.items())
+    return Multivector._from_ints(a.sig, out, a._d)
 
 
 # ----------------------------------------------------------------------

@@ -1,16 +1,17 @@
 """Exact-rational multivectors over a fixed signature.
 
-Coefficients are `fractions.Fraction` values; no operation ever rounds.
-The coefficient map is sparse: blades with zero coefficient are never
-stored, so structural equality of the maps is equality of the elements.
-Instances are immutable values; every operation returns a new multivector.
+Stored as nonzero integer numerators by blade mask over one denominator
+d > 0 sharing no factor with all of them (zero is {} over 1): a unique
+form, so equality and hashing compare integers and no operation rounds.
+A reduced `Fraction` per term is built only where coefficients are read
+(`coeff`, `items`, `scalar_part`).  Instances are immutable values.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Iterator, Mapping, Union
 
 from .blades import Blade, Signature, blade_from_text, blade_order, blade_to_text, product_signs
@@ -21,13 +22,19 @@ Scalar = Union[int, Fraction]
 _ZERO = Fraction(0)
 
 
+def _ratio_text(v: int, d: int) -> str:
+    """v/d in lowest terms (d > 0), printed as `str(Fraction(v, d))` prints it."""
+    g = gcd(v, d)
+    return str(v // g) if g == d else f"{v // g}/{d // g}"
+
+
 def int_product(a: Mapping[Blade, int], b: Mapping[Blade, int], sig: Signature) -> list[int]:
     """Geometric product of two integer coefficient maps under a signature.
 
-    This is the kernel of `Multivector.__mul__`.  The inversion chain and
-    the assembly of its inverse run on compiled integer plans instead
-    (`inversion._fold`).  Returns the coefficient of every blade, indexed by
-    mask, zeros included.
+    The kernel of `Multivector.__mul__`, on the stored numerators (the
+    denominators multiply); the inversion chain and its assembly run on
+    compiled integer plans instead (`inversion._fold`).  Returns the
+    coefficient of every blade, indexed by mask, zeros included.
     """
     signs = product_signs(sig)
     dim = sig.dim
@@ -45,34 +52,43 @@ def int_product(a: Mapping[Blade, int], b: Mapping[Blade, int], sig: Signature) 
 class Multivector:
     """An element of Cl(p,q) with exact rational coefficients."""
 
-    __slots__ = ("sig", "_c")
+    __slots__ = ("sig", "_n", "_d")
 
     def __init__(self, sig: Signature, coeffs: Mapping[Blade, Scalar] = ()):
         self.sig = sig
-        clean: dict[Blade, Fraction] = {}
         dim = sig.dim
+        nums, dens = {}, {}
         for mask, value in dict(coeffs).items():
             if not 0 <= mask < dim:
                 raise ValueError(f"blade mask {mask} outside the {sig} basis")
-            f = value if isinstance(value, Fraction) else Fraction(value)
-            if f:
-                clean[mask] = f
-        self._c = clean
-
-    @classmethod
-    def _make(cls, sig: Signature, clean: dict[Blade, Fraction]) -> "Multivector":
-        """Trusted constructor: coefficients already validated, nonzero Fractions."""
-        mv = cls.__new__(cls)
-        mv.sig = sig
-        mv._c = clean
-        return mv
+            if type(value) is not int:
+                f = value if isinstance(value, Fraction) else Fraction(value)
+                value = f.numerator
+                if f.denominator != 1:
+                    dens[mask] = f.denominator
+            if value:
+                nums[mask] = value
+        # Over the lcm of reduced denominators the numerators share no factor with it.
+        self._d = den = lcm(*dens.values()) if dens else 1
+        self._n = {m: v * (den // dens.get(m, 1)) for m, v in nums.items()} if dens else nums
 
     @classmethod
     def _from_ints(cls, sig: Signature, nums: Iterable[tuple[Blade, int]], den: int) -> "Multivector":
-        """Trusted constructor from (mask, integer numerator) pairs over one denominator."""
-        if den == 1:
-            return cls._make(sig, {m: Fraction(v) for m, v in nums if v})
-        return cls._make(sig, {m: Fraction(v, den) for m, v in nums if v})
+        """Trusted constructor from (mask, integer numerator) pairs over one nonzero denominator.
+
+        Drops zero numerators and divides all by one gcd, carrying den's
+        sign, to reach the canonical form; no `Fraction` is built.
+        """
+        kept = {m: v for m, v in nums if v}
+        g = gcd(den, *kept.values())
+        if den < 0:
+            g = -g
+        if g != 1:
+            kept = {m: v // g for m, v in kept.items()}
+            den //= g
+        mv = cls.__new__(cls)
+        mv.sig, mv._n, mv._d = sig, kept, den
+        return mv
 
     # ------------------------------------------------------------------
     # Constructors
@@ -80,12 +96,11 @@ class Multivector:
 
     @classmethod
     def zero(cls, sig: Signature) -> "Multivector":
-        return cls._make(sig, {})
+        return cls(sig)
 
     @classmethod
     def scalar(cls, sig: Signature, value: Scalar) -> "Multivector":
-        f = Fraction(value)
-        return cls._make(sig, {0: f} if f else {})
+        return cls(sig, {0: value})
 
     @classmethod
     def unit(cls, sig: Signature) -> "Multivector":
@@ -114,38 +129,37 @@ class Multivector:
     # ------------------------------------------------------------------
 
     def coeff(self, mask: Blade) -> Fraction:
-        return self._c.get(mask, _ZERO)
+        v = self._n.get(mask)
+        return _ZERO if v is None else Fraction(v, self._d)
 
     def items(self) -> Iterator[tuple[Blade, Fraction]]:
-        return iter(self._c.items())
+        return ((m, Fraction(v, self._d)) for m, v in self._n.items())
 
     def __len__(self) -> int:
-        return len(self._c)
+        return len(self._n)
 
     def __bool__(self) -> bool:
-        return bool(self._c)
+        return bool(self._n)
 
     def is_zero(self) -> bool:
-        return not self._c
+        return not self._n
 
     def is_scalar(self) -> bool:
         """True iff every nonzero coefficient sits on the unit blade."""
-        return not self._c or (len(self._c) == 1 and 0 in self._c)
+        return not self._n or (len(self._n) == 1 and 0 in self._n)
 
     def scalar_part(self) -> Fraction:
-        return self._c.get(0, _ZERO)
+        return self.coeff(0)
 
     def support_grades(self) -> frozenset[int]:
         """Set of grades carrying a nonzero coefficient."""
-        return frozenset(m.bit_count() for m in self._c)
+        return frozenset(m.bit_count() for m in self._n)
 
     def grade_project(self, k: int) -> "Multivector":
         """Keep exactly the grade-k part."""
         if not 0 <= k <= self.sig.n:
             raise GradeOutOfRange(f"grade {k} outside 0..{self.sig.n}")
-        return Multivector._make(
-            self.sig, {m: c for m, c in self._c.items() if m.bit_count() == k}
-        )
+        return Multivector._from_ints(self.sig, ((m, v) for m, v in self._n.items() if m.bit_count() == k), self._d)
 
     # ------------------------------------------------------------------
     # Arithmetic
@@ -160,14 +174,12 @@ class Multivector:
         if not isinstance(other, Multivector):
             return NotImplemented
         self._require_same_sig(other)
-        out = dict(self._c)
-        for m, c in other._c.items():
-            s = out.get(m, _ZERO) + c if sign > 0 else out.get(m, _ZERO) - c
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
-        return Multivector._make(self.sig, out)
+        den = lcm(self._d, other._d)
+        ka, kb = den // self._d, sign * (den // other._d)
+        out = {m: v * ka for m, v in self._n.items()}
+        for m, v in other._n.items():
+            out[m] = out.get(m, 0) + v * kb
+        return Multivector._from_ints(self.sig, out.items(), den)
 
     def __add__(self, other: "Multivector") -> "Multivector":
         return self._combine(other, 1)
@@ -176,12 +188,13 @@ class Multivector:
         return self._combine(other, -1)
 
     def __neg__(self) -> "Multivector":
-        return Multivector._make(self.sig, {m: -c for m, c in self._c.items()})
+        return Multivector._from_ints(self.sig, ((m, -v) for m, v in self._n.items()), self._d)
 
     def __mul__(self, other: Union["Multivector", Scalar]) -> "Multivector":
         if isinstance(other, Multivector):
             self._require_same_sig(other)
-            return self._geometric_product(other)
+            nums = int_product(self._n, other._n, self.sig)
+            return Multivector._from_ints(self.sig, enumerate(nums), self._d * other._d)
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         return NotImplemented
@@ -193,34 +206,15 @@ class Multivector:
 
     def scale(self, factor: Scalar) -> "Multivector":
         f = Fraction(factor)
-        if not f:
-            return Multivector._make(self.sig, {})
-        return Multivector._make(self.sig, {m: c * f for m, c in self._c.items()})
-
-    def _int_coeffs(self) -> tuple[dict[Blade, int], int]:
-        """Integer numerators plus the common denominator clearing them."""
-        den = 1
-        for c in self._c.values():
-            d = c.denominator
-            if d != 1:
-                den = den * d // gcd(den, d)
-        if den == 1:
-            return {m: c.numerator for m, c in self._c.items()}, 1
-        return {m: c.numerator * (den // c.denominator) for m, c in self._c.items()}, den
+        num = f.numerator
+        return Multivector._from_ints(self.sig, ((m, v * num) for m, v in self._n.items()), self._d * f.denominator)
 
     def _int_dense(self) -> tuple[list[int], int]:
         """Integer numerators indexed by mask, zeros included, plus their denominator."""
-        nums, den = self._int_coeffs()
         dense = [0] * self.sig.dim
-        for m, v in nums.items():
+        for m, v in self._n.items():
             dense[m] = v
-        return dense, den
-
-    def _geometric_product(self, other: "Multivector") -> "Multivector":
-        # Clear denominators once, multiply in integers, normalise at the end.
-        a, da = self._int_coeffs()
-        b, db = other._int_coeffs()
-        return Multivector._from_ints(self.sig, enumerate(int_product(a, b, self.sig)), da * db)
+        return dense, self._d
 
     def __pow__(self, exponent: int) -> "Multivector":
         if not isinstance(exponent, int) or exponent < 0:
@@ -238,10 +232,10 @@ class Multivector:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Multivector):
             return NotImplemented
-        return self.sig == other.sig and self._c == other._c
+        return self.sig == other.sig and self._d == other._d and self._n == other._n
 
     def __hash__(self) -> int:
-        return hash((self.sig, frozenset(self._c.items())))
+        return hash((self.sig, self._d, frozenset(self._n.items())))
 
     # ------------------------------------------------------------------
     # Text and JSON forms
@@ -259,31 +253,30 @@ class Multivector:
         The unit blade prints as a bare rational; coefficients of magnitude
         one elide the '1*'.  Examples: '0', '2/3 - 1/3*e1', '-e12'.
         """
-        if not self._c:
+        if not self._n:
             return "0"
         parts: list[str] = []
         for m in blade_order(self.sig.n):
-            c = self._c.get(m)
-            if c is None:
+            v = self._n.get(m)
+            if v is None:
                 continue
-            mag = -c if c < 0 else c
+            mag = _ratio_text(abs(v), self._d)
             if m == 0:
-                body = str(mag)
-            elif mag == 1:
+                body = mag
+            elif mag == "1":
                 body = blade_to_text(m)
             else:
                 body = f"{mag}*{blade_to_text(m)}"
             if not parts:
-                parts.append(f"-{body}" if c < 0 else body)
+                parts.append(f"-{body}" if v < 0 else body)
             else:
-                parts.append(f" - {body}" if c < 0 else f" + {body}")
+                parts.append(f" - {body}" if v < 0 else f" + {body}")
         return "".join(parts)
 
     def to_json_dict(self) -> dict:
         """JSON form: {"p", "q", "coeffs": {blade text: rational string}}."""
-        coeffs = {
-            blade_to_text(m): str(self._c[m]) for m in blade_order(self.sig.n) if m in self._c
-        }
+        nums, d = self._n, self._d
+        coeffs = {blade_to_text(m): _ratio_text(nums[m], d) for m in blade_order(self.sig.n) if m in nums}
         return {"p": self.sig.p, "q": self.sig.q, "coeffs": coeffs}
 
     @classmethod

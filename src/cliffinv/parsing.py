@@ -253,22 +253,26 @@ def evaluate(ast: ExprAst, sig: Signature) -> Multivector:
             )
         return base ** ast.exponent
     if isinstance(ast, BinOp):
-        left = evaluate(ast.left, sig)
-        right = evaluate(ast.right, sig)
-        if ast.op == "+":
-            return left + right
-        if ast.op == "-":
-            return left - right
-        return left * right
+        # A flat sum or product is a left spine of BinOps: walk it in a loop.
+        spine = []
+        while isinstance(ast, BinOp):
+            spine.append(ast)
+            ast = ast.left
+        acc = evaluate(ast, sig)
+        for node in reversed(spine):
+            right = evaluate(node.right, sig)
+            acc = acc + right if node.op == "+" else acc - right if node.op == "-" else acc * right
+        return acc
     raise TypeError(f"not an expression node: {ast!r}")
 
 
 def parse_expression(text: str, sig: Signature) -> Multivector:
     """Convenience wrapper: tokenize, parse, and evaluate in one call.
 
-    Both recurse per nesting level and per term of a sum or product, so
-    input past Python's recursion limit is refused with a ValueError."""
+    Both recurse per level of nesting (parentheses, unary minus, a chain of
+    powers), so input past Python's recursion limit is refused with a
+    ValueError; the terms of a sum or product are walked in a loop."""
     try:
         return evaluate(parse(tokenize(text, sig.n)), sig)
     except RecursionError:
-        raise ValueError("expression nested too deeply (or too many terms in one sum or product)") from None
+        raise ValueError("expression nested too deeply") from None

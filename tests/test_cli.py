@@ -110,10 +110,9 @@ class TestInv:
         [
             ("(" * 300 + "1" + ")" * 300, None),
             ("-" * 5000 + "1", None),
-            ("+".join(["1"] * 3001), None),
             (None, "[" * 100000 + "]" * 100000),
         ],
-        ids=["parentheses", "unary-minus", "flat-sum", "deep-json"],
+        ids=["parentheses", "unary-minus", "deep-json"],
     )
     def test_input_past_the_nesting_limit_exits_one(self, capsys, tmp_path, expr, deep_json):
         if deep_json is None:
@@ -126,6 +125,20 @@ class TestInv:
         assert (code, out) == (1, "")
         assert err.startswith("cliffinv: ") and "nested too deeply" in err
         assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "expr, lines",
+        [
+            ("+".join(["1"] * 3001), ["D = 9006001", "factor 1 = 3001", "inverse = 1/3001"]),
+            ("*".join(["e1"] * 3001), ["D = -1", "factor 1 = -e1", "inverse = e1"]),
+        ],
+        ids=["sum", "product"],
+    )
+    def test_flat_sum_and_product_of_many_terms_exit_zero(self, capsys, expr, lines):
+        # Each term is one level of a left-deep tree, past the recursion limit.
+        code, out, err = run(capsys, "inv", "-p", "0", "-q", "1", expr)
+        assert (code, err) == (0, "")
+        assert out.splitlines() == lines
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_result_beyond_int_str_limit_prints(self, capsys, fmt):

@@ -1,10 +1,24 @@
 import json
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
-from cliffinv import GradeOutOfRange, Multivector, Signature, SignatureMismatch, inverse
+from cliffinv import (
+    GradeOutOfRange,
+    Multivector,
+    Signature,
+    SignatureMismatch,
+    apply_delta,
+    blade_square_sign,
+    compose_inverse,
+    default_chain,
+    inverse,
+    oracle_inverse,
+    parse_expression,
+)
+from cliffinv.involutions import NAMED_DELTAS
 from cliffinv.verify import all_signatures
 
 
@@ -222,3 +236,122 @@ class TestJsonForm:
             Multivector.from_json_dict({"p": 0, "q": 1, "coeffs": {"e2": "1"}})
         with pytest.raises(ValueError):
             Multivector.from_json_dict({"p": 4, "q": 4, "coeffs": {}})
+
+
+def assert_canonical(m):
+    """The stored form: numerators by mask over one denominator d > 0,
+    no zero numerator, and gcd(d, *numerators) == 1 (zero is {} over 1)."""
+    nums, d = m._n, m._d
+    assert type(d) is int and d > 0, (m, d)
+    assert all(type(v) is int and v != 0 for v in nums.values()), (m, nums)
+    assert gcd(d, *nums.values()) == 1, (m, nums, d)
+
+
+def rational_coeffs(sig, seed, density=0.7):
+    """A seeded map from masks to Fractions, about `density` of them nonzero."""
+    rng = random.Random(f"canon|{sig.p},{sig.q}|{seed}")
+    return {
+        m: Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+        for m in range(sig.dim)
+        if rng.random() < density
+    }
+
+
+def rational(sig, seed, density=0.7):
+    return Multivector(sig, rational_coeffs(sig, seed, density))
+
+
+class TestCanonicalForm:
+    """Every producer of a multivector returns the canonical stored form."""
+
+    SEEDS = range(3)
+
+    @pytest.mark.parametrize("sig", all_signatures(), ids=str)
+    def test_constructors(self, sig):
+        for s in self.SEEDS:
+            fracs = rational_coeffs(sig, s)
+            ints = {m: c.numerator for m, c in fracs.items()}
+            mixed = {m: (c.numerator if m & 1 else c) for m, c in fracs.items()}
+            for coeffs in (fracs, ints, mixed, {m: 0 for m in fracs}):
+                assert_canonical(Multivector(sig, coeffs))
+        for m in (Multivector.zero(sig), Multivector.unit(sig), Multivector.scalar(sig, Fraction(-6, 4))):
+            assert_canonical(m)
+        assert (Multivector.zero(sig)._n, Multivector.zero(sig)._d) == ({}, 1)
+
+    @pytest.mark.parametrize("sig", all_signatures(), ids=str)
+    def test_arithmetic(self, sig):
+        for s in self.SEEDS:
+            x, y = rational(sig, s), rational(sig, s + 100, density=0.4)
+            for m in (x + y, x - y, x - x, -x, x.scale(0), x.scale(Fraction(-3, 4)), 6 * x, x * y, x**3, x**0):
+                assert_canonical(m)
+            for k in range(sig.n + 1):
+                assert_canonical(x.grade_project(k))
+
+    def test_grade_projection_reduces_again(self):
+        m = Multivector(S01, {0: Fraction(1, 2), 1: Fraction(1, 3)})
+        half = m.grade_project(0)
+        assert (half._n, half._d) == ({0: 1}, 2)
+        assert half == Multivector.scalar(S01, Fraction(1, 2))
+
+    @pytest.mark.parametrize("sig", all_signatures(), ids=str)
+    def test_maps_and_text_forms(self, sig):
+        for s in self.SEEDS:
+            x = rational(sig, s)
+            for ctor in NAMED_DELTAS.values():
+                assert_canonical(apply_delta(ctor(sig.n), x))
+            assert_canonical(Multivector.from_json_dict(json.loads(json.dumps(x.to_json_dict()))))
+            assert_canonical(parse_expression(x.to_text(), sig))
+
+    @pytest.mark.parametrize("sig", all_signatures(), ids=str)
+    def test_inverse_factors_and_oracle(self, sig):
+        samples = [rational(sig, s) for s in self.SEEDS] + [rnd(sig, 7), Multivector.zero(sig)]
+        samples += [Multivector(sig, {0: 1, b: 1}) for b in range(1, sig.dim) if blade_square_sign(b, sig) == 1][:2]
+        for a in samples:
+            result = compose_inverse(a, default_chain(sig.n))
+            for m in result.factors + ((result.inverse,) if result.inverse is not None else ()):
+                assert_canonical(m)
+            via_oracle = oracle_inverse(a)
+            if via_oracle is not None:
+                assert_canonical(via_oracle)
+
+
+class TestEqualityAcrossSpellings:
+    def test_one_half_spelled_five_ways(self):
+        y = Multivector(S02, {1: Fraction(5, 7), 3: 2})
+        spellings = [
+            Multivector(S02, {0: Fraction(2, 4)}),
+            Multivector.scalar(S02, Fraction(1, 2)),
+            Multivector.scalar(S02, Fraction(1, 2)) + y - y,
+            Multivector(S02, {0: 3, 1: 0}).scale(Fraction(1, 6)),
+            parse_expression("2/4", S02),
+        ]
+        for m in spellings:
+            assert m == spellings[0] and hash(m) == hash(spellings[0])
+            assert dict(m.items()) == {0: Fraction(1, 2)}
+
+    @pytest.mark.parametrize("sig", all_signatures(), ids=str)
+    def test_equal_values_compare_and_hash_equal(self, sig):
+        for s in range(3):
+            reference = rational_coeffs(sig, s)
+            x = Multivector(sig, reference)
+            y = rational(sig, s + 100)
+            spellings = [
+                Multivector(sig, {m: Fraction(c.numerator * 3, c.denominator * 3) for m, c in reference.items()}),
+                x + y - y,
+                x.scale(2).scale(Fraction(1, 2)),
+                Multivector.from_json_dict(x.to_json_dict()),
+                parse_expression(x.to_text(), sig),
+            ]
+            expected = {m: c for m, c in reference.items() if c}
+            for m in spellings:
+                assert m == x and hash(m) == hash(x)
+                assert dict(m.items()) == expected
+                assert all(type(c) is Fraction for _, c in m.items())
+
+    def test_coeff_of_absent_blade_is_fraction_zero(self):
+        m = Multivector(S02, {1: 4})
+        for mask in (0, 2, 3):
+            c = m.coeff(mask)
+            assert type(c) is Fraction and c == 0
+        assert type(m.coeff(1)) is Fraction and m.coeff(1) == 4
+        assert type(Multivector.zero(S02).scalar_part()) is Fraction

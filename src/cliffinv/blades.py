@@ -18,6 +18,10 @@ from typing import NamedTuple
 
 MAX_GENERATORS = 5
 
+# The digits of blade symbols and integer literals: ASCII only, since
+# str.isdigit() also accepts superscripts and other scripts' digits.
+DIGITS = "0123456789"
+
 Blade = int
 
 
@@ -113,6 +117,10 @@ def blade_to_text(blade: Blade) -> str:
     return "e" + "".join(digits)
 
 
+# Canonical text of every blade of up to MAX_GENERATORS generators, by mask.
+BLADE_TEXT = tuple(blade_to_text(m) for m in range(1 << MAX_GENERATORS))
+
+
 def blade_from_text(text: str, n: int) -> Blade:
     """Parse the canonical blade text form; inverse of blade_to_text."""
     if text == "1":
@@ -122,7 +130,7 @@ def blade_from_text(text: str, n: int) -> Blade:
     mask = 0
     prev = 0
     for ch in text[1:]:
-        if not ch.isdigit():
+        if ch not in DIGITS:
             raise ValueError(f"invalid blade symbol {text!r}")
         i = int(ch)
         if not 1 <= i <= n:

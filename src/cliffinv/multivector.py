@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Iterator, Mapping, Union
 
-from .blades import Blade, Signature, blade_from_text, blade_order, blade_to_text, product_signs
+from .blades import BLADE_TEXT, Blade, Signature, blade_from_text, blade_order, product_signs
 from .errors import GradeOutOfRange, SignatureMismatch
 
 Scalar = Union[int, Fraction]
@@ -253,20 +253,21 @@ class Multivector:
         The unit blade prints as a bare rational; coefficients of magnitude
         one elide the '1*'.  Examples: '0', '2/3 - 1/3*e1', '-e12'.
         """
-        if not self._n:
+        nums, d = self._n, self._d
+        if not nums:
             return "0"
         parts: list[str] = []
         for m in blade_order(self.sig.n):
-            v = self._n.get(m)
+            v = nums.get(m)
             if v is None:
                 continue
-            mag = _ratio_text(abs(v), self._d)
+            mag = _ratio_text(abs(v), d)
             if m == 0:
                 body = mag
             elif mag == "1":
-                body = blade_to_text(m)
+                body = BLADE_TEXT[m]
             else:
-                body = f"{mag}*{blade_to_text(m)}"
+                body = f"{mag}*{BLADE_TEXT[m]}"
             if not parts:
                 parts.append(f"-{body}" if v < 0 else body)
             else:
@@ -276,7 +277,7 @@ class Multivector:
     def to_json_dict(self) -> dict:
         """JSON form: {"p", "q", "coeffs": {blade text: rational string}}."""
         nums, d = self._n, self._d
-        coeffs = {blade_to_text(m): _ratio_text(nums[m], d) for m in blade_order(self.sig.n) if m in nums}
+        coeffs = {BLADE_TEXT[m]: _ratio_text(nums[m], d) for m in blade_order(self.sig.n) if m in nums}
         return {"p": self.sig.p, "q": self.sig.q, "coeffs": coeffs}
 
     @classmethod

@@ -196,6 +196,12 @@ class TestBladeText:
             with pytest.raises(ValueError):
                 blade_from_text(bad, 5)
 
+    def test_only_ascii_digits(self):
+        # str.isdigit() is true for these; int() reads '١' as 1 and refuses '²'.
+        for bad in ("e١", "e²", "e1٢"):
+            with pytest.raises(ValueError, match="invalid blade symbol"):
+                blade_from_text(bad, 5)
+
     def test_order_is_by_grade_then_mask(self):
         assert blade_order(2) == (0b00, 0b01, 0b10, 0b11)
         order = blade_order(5)

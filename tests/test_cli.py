@@ -140,6 +140,32 @@ class TestInv:
         assert (code, err) == (0, "")
         assert out.splitlines() == lines
 
+    def test_chain_of_many_powers_exits_zero(self, capsys):
+        # Evaluation runs on a stack, so a chain of powers is not nesting.
+        code, out, err = run(capsys, "inv", "-p", "0", "-q", "1", "e1" + "^1" * 3000)
+        assert (code, err) == (0, "")
+        assert out.splitlines() == ["D = -1", "factor 1 = -e1", "inverse = e1"]
+
+    @pytest.mark.parametrize(
+        "expr, message",
+        [
+            ("2²", "unknown character '²' (offset 1)"),
+            ("e١ + ٣", "blade symbol needs at least one generator index (offset 0)"),
+        ],
+        ids=["superscript", "arabic-indic"],
+    )
+    def test_only_ascii_digits(self, capsys, expr, message):
+        code, out, err = run(capsys, "inv", "-p", "1", "-q", "0", expr)
+        assert (code, out, err) == (1, "", f"cliffinv: {message}\n")
+
+    @pytest.mark.parametrize("key", ["e١", "e²"])
+    def test_file_blade_key_only_ascii_digits(self, capsys, tmp_path, key):
+        path = tmp_path / "mv.json"
+        path.write_text(json.dumps({"p": 1, "q": 0, "coeffs": {key: 2}}))
+        code, out, err = run(capsys, "inv", "--file", str(path))
+        assert (code, out) == (1, "")
+        assert err == f"cliffinv: invalid blade symbol {key!r}\n"
+
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_result_beyond_int_str_limit_prints(self, capsys, fmt):
         # 10^5000 has 5001 digits, past Python's default 4300-digit limit on

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from cliffinv import LexError, Multivector, ParseError, Signature, parse_expression, tokenize
+from cliffinv import parsing
 from cliffinv.parsing import MAX_POWER_BITS, parse
 from cliffinv.verify import all_signatures
 
@@ -60,6 +61,18 @@ class TestTokenize:
         with pytest.raises(LexError) as err:
             tokenize("2 $ 3", 3)
         assert err.value.offset == 2
+
+    def test_only_ascii_digits(self):
+        # str.isdigit() accepts superscripts and other scripts' digits too.
+        with pytest.raises(LexError) as err:
+            tokenize("2²", 1)
+        assert (err.value.message, err.value.offset) == ("unknown character '²'", 1)
+        with pytest.raises(LexError) as err:
+            tokenize("e١ + ٣", 1)
+        assert (err.value.message, err.value.offset) == ("blade symbol needs at least one generator index", 0)
+        with pytest.raises(LexError) as err:
+            tokenize("٣", 1)
+        assert err.value.offset == 0
 
     def test_offsets_stay_inside_input(self):
         for text in ("e21", "e0", "  %", "e9"):
@@ -192,3 +205,105 @@ class TestRoundTrip:
         for text, sig in (("0", S02), ("-5/3", S02), ("-e12", S02), ("1", S02)):
             m = ev(text, sig)
             assert str(m) == text
+
+
+class TestPostfixProgram:
+    def test_steps(self):
+        assert parse(tokenize("2 + 3/4*e12", 2)) == [
+            ("num", (2, 1)),
+            ("num", (3, 4)),
+            ("blade", 0b11),
+            ("*", None),
+            ("+", None),
+        ]
+
+    def test_unary_minus_folds_into_a_literal_but_not_across_power(self):
+        assert parse(tokenize("-4", 1)) == [("num", (-4, 1))]
+        assert parse(tokenize("-2^2", 1)) == [("num", (2, 1)), ("^", 2), ("neg", None)]
+        assert ev("-2^2", S01) == Multivector.scalar(S01, -4)
+        assert ev("(-2)^2", S01) == Multivector.scalar(S01, 4)
+
+    def test_unary_minus_on_a_non_literal(self):
+        assert parse(tokenize("-e1", 1)) == [("blade", 1), ("neg", None)]
+        assert ev("-(1+e1)", S01) == Multivector(S01, {0: -1, 1: -1})
+        assert ev("--e12", S02) == Multivector.blade(S02, 0b11)
+
+    def test_syntax_errors_come_before_arithmetic(self, monkeypatch):
+        def no_arithmetic(program, sig):
+            raise AssertionError("evaluated before the whole input parsed")
+
+        monkeypatch.setattr(parsing, "evaluate", no_arithmetic)
+        text = "e1^100000 +"
+        with pytest.raises(ParseError) as err:
+            ev(text, S01)
+        assert err.value.offset == len(text)
+        with pytest.raises(ParseError) as err:
+            ev("(1+e1+e2)^4000 )", S02)
+        assert err.value.offset == 15
+
+
+def _tree(rng, n, depth):
+    """A random expression tree: nested tuples over num, blade, neg, pow and + - *."""
+    r = rng.random()
+    if depth == 0 or r < 0.25:
+        if n and rng.random() < 0.5:
+            return ("blade", sum(1 << i for i in rng.sample(range(n), rng.randint(1, n))))
+        return ("num", Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 7))))
+    if r < 0.4:
+        return ("neg", _tree(rng, n, depth - 1))
+    if r < 0.5:
+        return ("pow", _tree(rng, n, depth - 1), rng.randint(0, 3))
+    return (rng.choice("+-*"), _tree(rng, n, depth - 1), _tree(rng, n, depth - 1))
+
+
+def _render(rng, node):
+    """Text for node and its binding level: 0 sum, 1 product, 2 unary, 3 power, 4 atom."""
+
+    def wrap(child, level):
+        text, got = _render(rng, child)
+        return text if got >= level and rng.random() > 0.15 else f"({text})"
+
+    op = node[0]
+    if op == "num":
+        v = node[1]
+        text = str(abs(v.numerator)) if v.denominator == 1 else f"{abs(v.numerator)}/{v.denominator}"
+        return (f"-{text}", 2) if v < 0 else (text, 4)
+    if op == "blade":
+        return "e" + "".join(str(i + 1) for i in range(5) if node[1] >> i & 1), 4
+    if op == "neg":
+        return "-" + wrap(node[1], 2), 2
+    if op == "pow":
+        return f"{wrap(node[1], 3)}^{node[2]}", 3
+    level = 0 if op in "+-" else 1
+    space = rng.choice(("", " "))
+    return f"{wrap(node[1], level)}{space}{op}{space}{wrap(node[2], level + 1)}", level
+
+
+def _reference(node, sig):
+    """Recursive evaluation with Multivector arithmetic alone."""
+    op = node[0]
+    if op == "num":
+        return Multivector.scalar(sig, node[1])
+    if op == "blade":
+        return Multivector.blade(sig, node[1])
+    if op == "neg":
+        return -_reference(node[1], sig)
+    if op == "pow":
+        return _reference(node[1], sig) ** node[2]
+    left, right = _reference(node[1], sig), _reference(node[2], sig)
+    return left + right if op == "+" else left - right if op == "-" else left * right
+
+
+class TestDifferential:
+    def test_random_trees_match_recursive_evaluation(self):
+        rng = random.Random(20)
+        texts = []
+        for sig in all_signatures(0):
+            for _ in range(40):
+                node = _tree(rng, sig.n, rng.randint(1, 5))
+                text, _ = _render(rng, node)
+                texts.append(text)
+                assert ev(text, sig) == _reference(node, sig), f"{text!r} in {sig}"
+        # The draw covers nested parentheses, chains of unary minus, rationals and every operator.
+        for form in ("((", "--", "/", "^", "+", "*", "e"):
+            assert any(form in t for t in texts), form

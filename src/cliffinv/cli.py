@@ -132,6 +132,8 @@ def _signature_from(args: argparse.Namespace) -> Signature:
 
 def _load_multivector(args: argparse.Namespace) -> Multivector:
     if args.file is not None:
+        if args.expr is not None:
+            raise ValueError("give an expression or --file, not both")
         with open(args.file) as fh:
             try:
                 data = json.load(fh)

@@ -34,7 +34,7 @@ from .involutions import (
     psi_delta,
     reversion_delta,
 )
-from .multivector import Multivector
+from .multivector import Multivector, _fold, _Plan
 
 
 @dataclass(frozen=True)
@@ -89,7 +89,7 @@ class InverseResult:
     def factors(self) -> tuple[Multivector, ...]:
         """f1(a1), ..., fm(am), each step's map applied to the element entering it."""
         a, chain = self._a, self._chain
-        entering, _, den = _run_chain(a, chain)
+        entering, _, den = _run_chain(a, _plans(a.sig, chain)[0])
         factors: list[Multivector] = []
         step_den = den
         for step, cur in zip(chain.steps, entering):
@@ -137,41 +137,34 @@ def alternate_chain(n: int) -> InvolutionChain:
     raise DimensionOutOfRange(f"no alternate chain for {n} generators")
 
 
-# A compiled plan is a tuple of rows; a row (i, ((j, m, w), ...)) adds
-# w * x_i * y_j onto mask m for each listed j (`_fold`).  A chain step folds
-# a with itself, listing every pair i <= j of the step's domain blades with
-# a nonzero weight, so that a * f(a) is the sum of w * a_i * a_j on e_m.
-_Plan = tuple[tuple[int, tuple[tuple[int, int, int], ...]], ...]
-
-
-def _fold(rows: _Plan, x: list[int], y: list[int], dim: int) -> list[int]:
-    """Run one plan on integer coefficient lists indexed by mask."""
-    acc = [0] * dim
-    for i, row in rows:
-        xi = x[i]
-        if xi:
-            for j, m, w in row:
-                acc[m] += w * xi * y[j]
-    return acc
-
-
 @lru_cache(maxsize=None)
-def _compile(sig: Signature, chain: InvolutionChain) -> tuple[_Plan, ...]:
-    """Build the integer plan of a chain, proving each step lands in the next domain.
+def _plans(sig: Signature, chain: InvolutionChain) -> tuple[tuple[_Plan, ...], tuple[_Plan, ...]]:
+    """Build a chain's step plans and assembly plan, proving each step lands in the next domain.
 
-    In a * f(a) the terms of blades i and j combine to a_i a_j (e_i f(e_j) +
-    e_j f(e_i)): weight s(i,i)*delta(i) on the unit when i = j, else
-    s(i,j)*delta(j) + s(j,i)*delta(i) on e_(i^j).  A step is closed exactly
-    when every pair landing outside the chain's next domain (the scalars,
-    after the last step) has weight zero; a chain with a step that is not,
-    or whose first domain leaves out grades an input may carry, raises
+    Step k folds a with itself: each pair i <= j of its domain blades
+    combines to a_i a_j (e_i f(e_j) + e_j f(e_i)), weight s(i,i)*delta(i) on
+    the unit when i = j, else s(i,j)*delta(j) + s(j,i)*delta(i) on e_(i^j);
+    its row i lists the pairs (j, i^j, w) with w nonzero.  A step is closed
+    exactly when every such pair lands inside the chain's next domain (the
+    scalars, after the last step); a chain with a step that is not, or whose
+    first domain leaves out grades an input may carry, raises
     SubspaceViolation, whatever the input.
+
+    The assembly plan computes P * f1(a1) * ... * fm(am), one plan per
+    factor.  Factor k carries only the blades j of step k's domain, and the
+    running product P only the masks its earlier factors reach from the
+    unit.  Row j of factor k lists (i, i^j, s(i,j)*delta_k(j)) for every
+    such mask i, so folding a_k's numerators with P's gives the numerators
+    of P * f_k(a_k).
     """
+    if chain.n != sig.n:
+        raise DimensionMismatch(f"chain is for {chain.n} generators, element lives in {sig}")
     if chain.steps and chain.domains[0] != frozenset(range(sig.n + 1)):
         raise SubspaceViolation(f"chain's first domain {sorted(chain.domains[0])} is not the whole algebra")
     signs = product_signs(sig)
     dim = sig.dim
-    steps = []
+    steps, factors = [], []
+    support = [0]
     targets = chain.domains[1:] + (frozenset({0}),)
     for k, (step, domain, target) in enumerate(zip(chain.steps, chain.domains, targets), start=1):
         delta = [step.delta[m.bit_count()] for m in range(dim)]
@@ -196,48 +189,23 @@ def _compile(sig: Signature, chain: InvolutionChain) -> tuple[_Plan, ...]:
             if row:
                 rows.append((i, tuple(row)))
         steps.append(tuple(rows))
-    return tuple(steps)
+        factor = tuple((j, tuple((i, i ^ j, signs[i * dim + j] * delta[j]) for i in support)) for j in blades)
+        factors.append(factor)
+        support = sorted({i ^ j for i in support for j in blades})
+    return tuple(steps), tuple(factors)
 
 
-@lru_cache(maxsize=None)
-def _assembly(sig: Signature, chain: InvolutionChain) -> tuple[_Plan, ...]:
-    """The integer plan of P * f1(a1) * ... * fm(am), one plan per factor.
-
-    Factor k carries only the blades j of step k's domain, and the running
-    product P only the masks its earlier factors reach from the unit.  Row
-    j of factor k lists (i, i^j, s(i,j)*delta_k(j)) for every such mask i,
-    so folding a_k's numerators with P's gives the numerators of P * f_k(a_k).
-    Built only for chains `_compile` has proved closed.
-    """
-    signs = product_signs(sig)
-    dim = sig.dim
-    support = [0]
-    factors = []
-    for step, domain in zip(chain.steps, chain.domains):
-        rows = []
-        for j in range(dim):
-            if j.bit_count() in domain:
-                d = step.delta[j.bit_count()]
-                rows.append((j, tuple((i, i ^ j, signs[i * dim + j] * d) for i in support)))
-        factors.append(tuple(rows))
-        support = sorted({i ^ j for i in support for j, _ in rows})
-    return tuple(factors)
-
-
-def _run_chain(a: Multivector, chain: InvolutionChain) -> tuple[list[list[int]], int, int]:
-    """Run the chain on integer numerators: a = N / den with N integral.
+def _run_chain(a: Multivector, steps: tuple[_Plan, ...]) -> tuple[list[list[int]], int, int]:
+    """Run a chain's step plans on integer numerators: a = N / den with N integral.
 
     Returns the numerators entering each step, indexed by mask (over
     den**(2**(k-1)) at step k), the numerator of the final scalar (over
     den**(2**steps)), and den.
     """
-    if chain.n != a.sig.n:
-        raise DimensionMismatch(f"chain is for {chain.n} generators, element lives in {a.sig}")
-    plan = _compile(a.sig, chain)
     cur, den = a._int_dense()
     dim = a.sig.dim
     entering = []
-    for rows in plan:
+    for rows in steps:
         entering.append(cur)
         cur = _fold(rows, cur, cur, dim)
     return entering, cur[0], den
@@ -251,8 +219,9 @@ def compose_inverse(a: Multivector, chain: InvolutionChain) -> InverseResult:
     SubspaceViolation if the chain can leave the grade sets it promises,
     which indicates a broken chain rather than a property of the input.
     """
-    entering, d_num, den = _run_chain(a, chain)
-    d = Fraction(d_num, den ** (1 << len(chain.steps)))
+    steps, assembly = _plans(a.sig, chain)
+    entering, d_num, den = _run_chain(a, steps)
+    d = Fraction(d_num, den ** (1 << len(steps)))
     if d_num == 0:
         return InverseResult(d, None, _a=a, _chain=chain)
     # a**-1 = (1/D) * f1 * ... * fm.  The k-th factor's numerators sit over
@@ -261,14 +230,14 @@ def compose_inverse(a: Multivector, chain: InvolutionChain) -> InverseResult:
     dim = a.sig.dim
     product = [0] * dim
     product[0] = den
-    for rows, cur in zip(_assembly(a.sig, chain), entering):
+    for rows, cur in zip(assembly, entering):
         product = _fold(rows, cur, product, dim)
     return InverseResult(d, Multivector._from_ints(a.sig, enumerate(product), d_num), _a=a, _chain=chain)
 
 
 def chain_scalar(a: Multivector, chain: InvolutionChain) -> Fraction:
     """The chain's final scalar D, without building factors or the inverse."""
-    _, d_num, den = _run_chain(a, chain)
+    _, d_num, den = _run_chain(a, _plans(a.sig, chain)[0])
     return Fraction(d_num, den ** (1 << len(chain.steps)))
 
 

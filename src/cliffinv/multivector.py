@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 from typing import Iterable, Iterator, Mapping, Union
 
@@ -28,25 +29,36 @@ def _ratio_text(v: int, d: int) -> str:
     return str(v // g) if g == d else f"{v // g}/{d // g}"
 
 
-def int_product(a: Mapping[Blade, int], b: Mapping[Blade, int], sig: Signature) -> list[int]:
-    """Geometric product of two integer coefficient maps under a signature.
+# A compiled plan is a tuple of rows; a row (i, ((j, m, w), ...)) adds
+# w * x_i * y_j onto mask m for each listed j (`_fold`).
+_Plan = tuple[tuple[int, tuple[tuple[int, int, int], ...]], ...]
 
-    The kernel of `Multivector.__mul__`, on the stored numerators (the
-    denominators multiply); the inversion chain and its assembly run on
-    compiled integer plans instead (`inversion._fold`).  Returns the
-    coefficient of every blade, indexed by mask, zeros included.
+
+def _fold(rows: _Plan, x: list[int], y: list[int], dim: int) -> list[int]:
+    """Run one plan on integer coefficient lists indexed by mask.
+
+    The one multiply-accumulate loop: `*` runs it on the full product plan
+    (`_product_plan`), the inversion chain on each step's plan and on its
+    assembly plan.  Rows whose x_i is zero are skipped.
     """
+    acc = [0] * dim
+    for i, row in rows:
+        xi = x[i]
+        if xi:
+            for j, m, w in row:
+                acc[m] += w * xi * y[j]
+    return acc
+
+
+@lru_cache(maxsize=None)
+def _product_plan(sig: Signature) -> _Plan:
+    """The plan of the geometric product: row i lists (j, i^j, s(i,j)) for every j."""
     signs = product_signs(sig)
     dim = sig.dim
-    acc = [0] * dim
-    for ma, ca in a.items():
-        row = ma * dim
-        for mb, cb in b.items():
-            if signs[row + mb] < 0:
-                acc[ma ^ mb] -= ca * cb
-            else:
-                acc[ma ^ mb] += ca * cb
-    return acc
+    cols = range(dim)
+    return tuple(
+        (i, tuple(zip(cols, [i ^ j for j in cols], signs[i * dim : (i + 1) * dim]))) for i in cols
+    )
 
 
 class Multivector:
@@ -166,7 +178,7 @@ class Multivector:
     # ------------------------------------------------------------------
 
     def _require_same_sig(self, other: "Multivector") -> None:
-        if self.sig != other.sig:
+        if self.sig is not other.sig and self.sig != other.sig:
             raise SignatureMismatch(f"cannot combine {self.sig} and {other.sig} elements")
 
     def _combine(self, other: "Multivector", sign: int) -> "Multivector":
@@ -191,10 +203,18 @@ class Multivector:
         return Multivector._from_ints(self.sig, ((m, -v) for m, v in self._n.items()), self._d)
 
     def __mul__(self, other: Union["Multivector", Scalar]) -> "Multivector":
+        """Geometric product, or scaling by an int or Fraction.
+
+        Two elements multiply by folding their dense numerator lists through
+        the signature's product plan; the denominators multiply.
+        """
         if isinstance(other, Multivector):
             self._require_same_sig(other)
-            nums = int_product(self._n, other._n, self.sig)
-            return Multivector._from_ints(self.sig, enumerate(nums), self._d * other._d)
+            sig = self.sig
+            x, dx = self._int_dense()
+            y, dy = other._int_dense()
+            nums = _fold(_product_plan(sig), x, y, sig.dim)
+            return Multivector._from_ints(sig, enumerate(nums), dx * dy)
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         return NotImplemented

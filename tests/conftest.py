@@ -1,13 +1,17 @@
-"""Shared helper: the naive product rewriter.
+"""Shared helpers: the naive product rewriter and a reference product.
 
 The rewriter is the independent oracle for the blade product: it works on
 explicit generator-index lists with single-step adjacent swaps and
-annihilations, sharing no code with the bitmask implementation.
+annihilations, sharing no code with the bitmask implementation.  The
+reference product multiplies multivectors term by term through
+`blade_mul`, sharing no code with the integer plan loop behind `*`.
 """
 
 from __future__ import annotations
 
-from cliffinv import Signature, blade_mul
+from fractions import Fraction
+
+from cliffinv import Multivector, Signature, blade_mul
 
 
 def naive_rewrite(word: list[int], sig: Signature) -> tuple[int, int]:
@@ -43,3 +47,13 @@ def fold_blade_mul(word: list[int], sig: Signature) -> tuple[int, int]:
         s, mask = blade_mul(mask, 1 << (g - 1), sig)
         sign *= s
     return sign, mask
+
+
+def reference_product(a: Multivector, b: Multivector) -> Multivector:
+    """Geometric product of a and b, one blade_mul per pair of terms, on Fractions."""
+    out: dict[int, Fraction] = {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            sign, mask = blade_mul(ma, mb, a.sig)
+            out[mask] = out.get(mask, 0) + sign * ca * cb
+    return Multivector(a.sig, out)

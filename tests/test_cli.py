@@ -73,6 +73,15 @@ class TestInv:
         assert code == 0
         assert "D =" in out
 
+    @pytest.mark.parametrize("command", [["inv"], ["disc"], ["map", "rev"]], ids=lambda c: c[0])
+    def test_file_and_expression_together_exit_one(self, capsys, tmp_path, command):
+        path = tmp_path / "mv.json"
+        path.write_text(json.dumps({"p": 0, "q": 1, "coeffs": {"1": "2", "e1": "1"}}))
+        code, out, err = run(capsys, *command, "--file", str(path), "3+e1")
+        assert code == 1
+        assert out == ""
+        assert err == "cliffinv: give an expression or --file, not both\n"
+
     def test_file_signature_conflict_exits_one(self, capsys, tmp_path):
         path = tmp_path / "mv.json"
         path.write_text(json.dumps({"p": 0, "q": 2, "coeffs": {"1": "3"}}))

@@ -3,6 +3,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 import pytest
+from conftest import reference_product
 
 from cliffinv import (
     DimensionMismatch,
@@ -241,20 +242,20 @@ class TestClosureRule:
 
 
 def _reference_chain(a, chain):
-    """compose_inverse step by step through the public map and product."""
+    """compose_inverse step by step through the public map and a blade_mul product."""
     cur = a
     factors = []
     for step in chain.steps:
         f = step(cur)
         factors.append(f)
-        cur = cur * f
+        cur = reference_product(cur, f)
     assert cur.is_scalar()
     d = cur.scalar_part()
     inv = None
     if d:
         inv = Multivector.scalar(a.sig, 1 / d)
         for f in factors:
-            inv = inv * f
+            inv = reference_product(inv, f)
     return d, tuple(factors), inv
 
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from conftest import reference_product
 
 from cliffinv import (
     GradeOutOfRange,
@@ -68,6 +69,17 @@ class TestAddition:
         with pytest.raises(SignatureMismatch):
             Multivector.unit(S01) + Multivector.unit(Signature(1, 0))
 
+    def test_equal_signatures_built_separately_combine(self):
+        for p, q in ((0, 0), (1, 2), (2, 3)):
+            one, two = Signature(p, q), Signature(p, q)
+            assert one is not two
+            a, b = Multivector.random(one, 1, 5), Multivector.random(two, 2, 5)
+            b_shared = Multivector(one, dict(b.items()))
+            assert a + b == a + b_shared
+            assert a - b == a - b_shared
+            assert a * b == a * b_shared
+            assert b * a == b_shared * a
+
 
 class TestProduct:
     def test_conjugate_pair_collapses_to_scalar(self):
@@ -127,6 +139,22 @@ class TestProduct:
                 done += 1
                 break
         assert done == 20
+
+    @pytest.mark.parametrize("sig", all_signatures(), ids=str)
+    def test_matches_blade_by_blade_reference(self, sig):
+        rng = random.Random(f"product|{sig}")
+        dim = sig.dim
+
+        def element(masks):
+            return Multivector(sig, {m: Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 12)) for m in masks})
+
+        sparse = [element(rng.sample(range(dim), min(k, dim))) for k in (1, 2, 3)]
+        dense = [element(range(dim)) for _ in range(2)] + [rnd(sig, rng.randrange(10**6))]
+        samples = sparse + dense + [Multivector.zero(sig)]
+        assert len({s._d for s in samples}) > 2
+        for a in samples:
+            for b in samples:
+                assert a * b == reference_product(a, b)
 
     def test_power_matches_repeated_product(self):
         a = rnd(S02, 8, 4)

@@ -10,17 +10,36 @@ A reduced `Fraction` per term is built only where coefficients are read
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd, lcm, log2
 from typing import Iterable, Iterator, Mapping, Union
 
-from .blades import BLADE_TEXT, Blade, Signature, blade_from_text, blade_order, product_signs
+from .blades import BLADE_TEXT, MAX_GENERATORS, Blade, Signature, blade_from_text, blade_order, product_signs
 from .errors import GradeOutOfRange, SignatureMismatch
 
 Scalar = Union[int, Fraction]
 
 _ZERO = Fraction(0)
+
+# Budget, in bits, for a number the input asks to be computed rather than
+# written out.  A power `^k` in an expression (`parsing.evaluate`) on a base
+# whose numerators and denominators have at most b bits is refused, before
+# it is computed, when k * (b + n) exceeds it: for integer coefficients that
+# bounds every coefficient of the result (each of the k - 1 products sums
+# 2^n products of entries, adding at most n bits to their sizes); with
+# rational ones it is an estimate on the same scale.  10^5000 needs at most
+# 5000 * (4 + 5) = 45000.  A JSON coefficient written with an exponent,
+# "1e<e>", is refused when |e| * log2(10) exceeds it (`from_json_dict`).
+MAX_POWER_BITS = 50_000
+
+# The exponent of a decimal coefficient string, as `Fraction` reads it.
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
+
+# Rank of every blade of up to MAX_GENERATORS generators in (grade, mask)
+# order, by mask: the order in which terms are printed.
+_RANK = tuple(map(blade_order(MAX_GENERATORS).index, range(1 << MAX_GENERATORS)))
 
 
 def _ratio_text(v: int, d: int) -> str:
@@ -100,6 +119,19 @@ class Multivector:
             den //= g
         mv = cls.__new__(cls)
         mv.sig, mv._n, mv._d = sig, kept, den
+        return mv
+
+    @classmethod
+    def _term(cls, sig: Signature, mask: Blade, num: int, den: int) -> "Multivector":
+        """Trusted constructor of num/den (den nonzero) on one blade: one gcd, no scan."""
+        mv = cls.__new__(cls)
+        if not num:
+            mv.sig, mv._n, mv._d = sig, {}, 1
+            return mv
+        g = gcd(num, den)
+        if den < 0:
+            g = -g
+        mv.sig, mv._n, mv._d = sig, {mask: num // g}, den // g
         return mv
 
     # ------------------------------------------------------------------
@@ -205,16 +237,30 @@ class Multivector:
     def __mul__(self, other: Union["Multivector", Scalar]) -> "Multivector":
         """Geometric product, or scaling by an int or Fraction.
 
-        Two elements multiply by folding their dense numerator lists through
-        the signature's product plan; the denominators multiply.
+        A one-term operand c*e_j relabels the other's terms: v*e_i goes to
+        mask i^j with the sign of the blade product, so the product costs
+        one entry per term.  Otherwise the dense numerator lists fold
+        through the signature's product plan.  The denominators multiply.
         """
         if isinstance(other, Multivector):
             self._require_same_sig(other)
             sig = self.sig
-            x, dx = self._int_dense()
-            y, dy = other._int_dense()
-            nums = _fold(_product_plan(sig), x, y, sig.dim)
-            return Multivector._from_ints(sig, enumerate(nums), dx * dy)
+            a, b = self._n, other._n
+            den = self._d * other._d
+            if len(a) == 1:
+                ((j, c),) = a.items()
+                signs, row = product_signs(sig), j * sig.dim
+                if len(b) == 1:
+                    ((i, v),) = b.items()
+                    return Multivector._term(sig, j ^ i, signs[row + i] * c * v, den)
+                return Multivector._from_ints(sig, ((j ^ i, signs[row + i] * c * v) for i, v in b.items()), den)
+            if len(b) == 1:
+                ((j, c),) = b.items()
+                signs, dim = product_signs(sig), sig.dim
+                return Multivector._from_ints(sig, ((i ^ j, signs[i * dim + j] * v * c) for i, v in a.items()), den)
+            x, _ = self._int_dense()
+            y, _ = other._int_dense()
+            return Multivector._from_ints(sig, enumerate(_fold(_product_plan(sig), x, y, sig.dim)), den)
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         return NotImplemented
@@ -277,10 +323,8 @@ class Multivector:
         if not nums:
             return "0"
         parts: list[str] = []
-        for m in blade_order(self.sig.n):
-            v = nums.get(m)
-            if v is None:
-                continue
+        for m in sorted(nums, key=_RANK.__getitem__):
+            v = nums[m]
             mag = _ratio_text(abs(v), d)
             if m == 0:
                 body = mag
@@ -297,7 +341,7 @@ class Multivector:
     def to_json_dict(self) -> dict:
         """JSON form: {"p", "q", "coeffs": {blade text: rational string}}."""
         nums, d = self._n, self._d
-        coeffs = {BLADE_TEXT[m]: _ratio_text(nums[m], d) for m in blade_order(self.sig.n) if m in nums}
+        coeffs = {BLADE_TEXT[m]: _ratio_text(nums[m], d) for m in sorted(nums, key=_RANK.__getitem__)}
         return {"p": self.sig.p, "q": self.sig.q, "coeffs": coeffs}
 
     @classmethod
@@ -321,8 +365,14 @@ class Multivector:
                 raise ValueError(
                     f"malformed multivector JSON: coefficient of {key} must be a number or a rational string"
                 )
+            text = str(value)
+            if m := _EXPONENT.search(text):
+                # Fraction would expand 10^|e| in full; refuse before it does.
+                digits = m.group(1).lstrip("+-").replace("_", "").lstrip("0")
+                if len(digits) > 6 or int(digits or "0") * log2(10) > MAX_POWER_BITS:
+                    raise ValueError(f"coefficient of {key} too large: its exponent is over the {MAX_POWER_BITS}-bit budget")
             try:
-                coeffs[mask] = Fraction(str(value))
+                coeffs[mask] = Fraction(text)
             except ZeroDivisionError:
                 raise ValueError(f"malformed multivector JSON: zero denominator in coefficient of {key}") from None
         return cls(sig, coeffs)

@@ -26,16 +26,7 @@ from typing import NamedTuple
 
 from .blades import BLADE_TEXT, DIGITS, Signature
 from .errors import LexError, ParseError
-from .multivector import Multivector
-
-# Budget for `^`, in bits: a power with exponent k of a base whose
-# numerators and denominators have at most b bits is refused, before it is
-# computed, when k * (b + n) exceeds it.  For integer coefficients that
-# bounds every coefficient of the result (each of the k - 1 products sums
-# 2^n products of entries, adding at most n bits to their sizes); with
-# rational ones it is an estimate on the same scale.  10^5000 needs at most
-# 5000 * (4 + 5) = 45000.
-MAX_POWER_BITS = 50_000
+from .multivector import MAX_POWER_BITS, Multivector
 
 
 class Token(NamedTuple):
@@ -205,16 +196,16 @@ def parse(tokens: list[Token]) -> Program:
 
 def evaluate(program: Program, sig: Signature) -> Multivector:
     """Run a program from parse on a stack of multivectors in the given algebra."""
-    from_ints = Multivector._from_ints
+    term = Multivector._term
     stack: list[Multivector] = []
     for op, arg in program:
         if op == "num":
             num, den = arg
-            stack.append(from_ints(sig, ((0, num),), den))
+            stack.append(term(sig, 0, num, den))
         elif op == "blade":
             if arg >= sig.dim:
                 raise ValueError(f"blade mask {arg} outside the {sig} basis")
-            stack.append(from_ints(sig, ((arg, 1),), 1))
+            stack.append(term(sig, arg, 1, 1))
         elif op == "neg":
             stack[-1] = -stack[-1]
         elif op == "^":

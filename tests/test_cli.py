@@ -114,6 +114,20 @@ class TestInv:
         assert err.startswith("cliffinv: malformed multivector JSON: p must be a nonnegative integer")
         assert err.count("\n") == 1 and "Traceback" not in err
 
+    @pytest.mark.parametrize("value", ["1e999999999", "1e-999999999"], ids=["positive", "negative"])
+    def test_file_exponent_over_budget_exits_one(self, tmp_path, value):
+        # A fresh process with a timeout: expanding 10^999999999 would not end.
+        path = tmp_path / "mv.json"
+        path.write_text(json.dumps({"p": 1, "q": 0, "coeffs": {"1": value}}))
+        src = str(Path(cliffinv.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-m", "cliffinv.cli", "inv", "--file", str(path)],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert (done.returncode, done.stdout) == (1, "")
+        assert done.stderr == "cliffinv: coefficient of 1 too large: its exponent is over the 50000-bit budget\n"
+
     @pytest.mark.parametrize(
         "expr, deep_json",
         [

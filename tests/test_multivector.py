@@ -19,6 +19,7 @@ from cliffinv import (
     oracle_inverse,
     parse_expression,
 )
+from cliffinv import multivector
 from cliffinv.involutions import NAMED_DELTAS
 from cliffinv.verify import all_signatures
 
@@ -163,6 +164,74 @@ class TestProduct:
         assert a**3 == a * a * a
 
 
+class TestOneTermProduct:
+    """A one-term operand takes the relabelling path of `*`; it must agree with the reference."""
+
+    @pytest.mark.parametrize("sig", all_signatures(), ids=str)
+    def test_matches_blade_by_blade_reference(self, sig):
+        rng = random.Random(f"one-term|{sig}")
+        dim = sig.dim
+
+        def coeff():
+            return Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 12))
+
+        def element(masks):
+            return Multivector(sig, {m: coeff() for m in masks})
+
+        one_term = [element([m]) for m in {0, dim - 1, rng.randrange(dim)}]
+        one_term += [Multivector.blade(sig, dim - 1, -1), Multivector.scalar(sig, Fraction(-3, 4))]
+        others = one_term + [
+            element(rng.sample(range(dim), min(2, dim))),
+            element(range(dim)),
+            rnd(sig, rng.randrange(10**6)),
+            Multivector.zero(sig),
+        ]
+        for t in one_term:
+            for o in others:
+                for a, b in ((t, o), (o, t)):
+                    got = a * b
+                    assert got == reference_product(a, b) and hash(got) == hash(reference_product(a, b)), (a, b)
+                    assert_canonical(got)
+
+    @pytest.mark.parametrize("sig", all_signatures(1), ids=str)
+    def test_reduces_against_the_product_of_denominators(self, sig):
+        top = sig.dim - 1
+        a = Multivector.blade(sig, 1, Fraction(2, 3))
+        b = Multivector.blade(sig, top, Fraction(3, 4))
+        for x, y in ((a, b), (b, a)):
+            got = x * y
+            assert got._d == 2 and list(got._n) == [1 ^ top] and abs(got._n[1 ^ top]) == 1
+            assert got == reference_product(x, y)
+        two = Multivector(sig, {0: Fraction(3, 4), 1: Fraction(3, 8)})
+        for x, y in ((a, two), (two, a)):
+            got = x * y
+            assert got._d == 4 and got == reference_product(x, y)
+
+    @pytest.mark.parametrize("sig", all_signatures(), ids=str)
+    def test_term_matches_the_general_constructor(self, sig):
+        for mask in {0, sig.dim - 1}:
+            for num, den in ((4, 6), (4, -6), (-7, 3), (-7, -3), (0, 5), (0, -5), (1, 1)):
+                got = Multivector._term(sig, mask, num, den)
+                want = Multivector(sig, {mask: Fraction(num, den)})
+                assert got == want and hash(got) == hash(want)
+                assert_canonical(got)
+
+    def test_one_term_products_skip_the_fold(self, monkeypatch):
+        calls = []
+        fold = multivector._fold
+
+        def counting_fold(*args):
+            calls.append(1)
+            return fold(*args)
+
+        monkeypatch.setattr(multivector, "_fold", counting_fold)
+        sig = Signature(2, 3)
+        parse_expression("3/2*e12 - 5/4*e345 + e5 - 7/3", sig)
+        assert calls == []
+        rnd(sig, 1) * rnd(sig, 2)
+        assert calls == [1]
+
+
 class TestGradeProjection:
     def test_selects_one_grade(self):
         m = Multivector(S02, {0: 3, 1: 2, 3: 1})
@@ -264,6 +333,18 @@ class TestJsonForm:
             Multivector.from_json_dict({"p": 0, "q": 1, "coeffs": {"e2": "1"}})
         with pytest.raises(ValueError):
             Multivector.from_json_dict({"p": 4, "q": 4, "coeffs": {}})
+
+    def test_exponent_within_the_budget_is_read(self):
+        # |e| * log2(10) is 49998.3 at e = 15051 and 50001.6 at e = 15052.
+        cases = [("1e15051", 10**15051), ("-2.5E-15050", Fraction(-25, 10**15051)), ("3e0000000005", 300000)]
+        for text, value in cases:
+            m = Multivector.from_json_dict({"p": 0, "q": 0, "coeffs": {"1": text}})
+            assert m.scalar_part() == value
+
+    @pytest.mark.parametrize("text", ["1e15052", "1E-15052", "0.5e+99999", "1e" + "9" * 5000])
+    def test_exponent_over_the_budget_is_refused(self, text):
+        with pytest.raises(ValueError, match=r"^coefficient of e1 too large: its exponent is over the 50000-bit budget$"):
+            Multivector.from_json_dict({"p": 0, "q": 1, "coeffs": {"e1": text}})
 
 
 def assert_canonical(m):

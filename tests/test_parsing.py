@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from conftest import reference_product
 
 from cliffinv import LexError, Multivector, ParseError, Signature, parse_expression, tokenize
 from cliffinv import parsing
@@ -280,7 +281,7 @@ def _render(rng, node):
 
 
 def _reference(node, sig):
-    """Recursive evaluation with Multivector arithmetic alone."""
+    """Recursive evaluation with Multivector sums and the term-by-term reference product."""
     op = node[0]
     if op == "num":
         return Multivector.scalar(sig, node[1])
@@ -289,9 +290,12 @@ def _reference(node, sig):
     if op == "neg":
         return -_reference(node[1], sig)
     if op == "pow":
-        return _reference(node[1], sig) ** node[2]
+        base, out = _reference(node[1], sig), Multivector.unit(sig)
+        for _ in range(node[2]):
+            out = reference_product(out, base)
+        return out
     left, right = _reference(node[1], sig), _reference(node[2], sig)
-    return left + right if op == "+" else left - right if op == "-" else left * right
+    return left + right if op == "+" else left - right if op == "-" else reference_product(left, right)
 
 
 class TestDifferential:

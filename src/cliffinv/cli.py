@@ -14,7 +14,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 from typing import Iterator
 
-from .blades import Signature
+from .blades import MAX_GENERATORS, Signature
 from .errors import CliffordError, LexError, NotInvertible, ParseError
 from .inversion import (
     compose_inverse,
@@ -56,7 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(
         prog="cliffinv",
         description=(
-            "Exact Clifford algebra calculator for Cl(p,q) with p+q <= 5: "
+            f"Exact Clifford algebra calculator for Cl(p,q) with p+q <= {MAX_GENERATORS}: "
             "inverses, discriminants, involutions, and their verification."
         ),
         epilog=(
@@ -86,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input_flags(mp)
 
     ds = subs.add_parser("delta-search", help="enumerate grade-sign maps that reverse products on a grade set")
-    ds.add_argument("-n", type=int, required=True, help="number of generators (0..5)")
+    ds.add_argument("-n", type=int, required=True, help=f"number of generators (0..{MAX_GENERATORS})")
     ds.add_argument("-I", dest="grades", required=True, help="comma-separated grade set, e.g. 0,1,4")
     ds.add_argument("--json", action="store_true")
 
@@ -204,8 +204,8 @@ def _cmd_map(args: argparse.Namespace) -> int:
 
 
 def _cmd_delta_search(args: argparse.Namespace) -> int:
-    if not 0 <= args.n <= 5:
-        raise ValueError(f"-n must be in 0..5, got {args.n}")
+    if not 0 <= args.n <= MAX_GENERATORS:
+        raise ValueError(f"-n must be in 0..{MAX_GENERATORS}, got {args.n}")
     try:
         grades = sorted({int(g) for g in args.grades.split(",") if g != ""})
     except ValueError as exc:

@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Optional
 
-from .blades import Signature, blade_square_sign, blade_to_text, product_signs
+from .blades import MAX_GENERATORS, Signature, blade_square_sign, blade_to_text, product_signs
 from .errors import DimensionMismatch, DimensionOutOfRange, NotInvertible, SubspaceViolation
 from .involutions import (
     GradeSet,
@@ -52,8 +52,8 @@ class InvolutionChain:
     domains: tuple[GradeSet, ...] = field(init=False)
 
     def __post_init__(self) -> None:
-        if not 0 <= self.n <= 5:
-            raise DimensionOutOfRange(f"chains exist for 0..5 generators, got {self.n}")
+        if not 0 <= self.n <= MAX_GENERATORS:
+            raise DimensionOutOfRange(f"chains exist for 0..{MAX_GENERATORS} generators, got {self.n}")
         running: GradeSet = frozenset(range(self.n + 1))
         domains = []
         for step in self.steps:

@@ -21,6 +21,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable, NamedTuple, Optional, Sequence
 
+from .blades import MAX_GENERATORS
 from .errors import DimensionMismatch
 from .multivector import Multivector
 
@@ -38,8 +39,8 @@ class LengthDeltaMap:
             raise ValueError("delta table entries must be +1 or -1")
         if table[0] != 1:
             raise ValueError("delta[0] must be +1 (scalars are always fixed)")
-        if len(table) > 6:
-            raise ValueError("delta tables cover grades 0..5 at most")
+        if len(table) > MAX_GENERATORS + 1:
+            raise ValueError(f"delta tables cover grades 0..{MAX_GENERATORS} at most")
         self.delta = table
 
     @property

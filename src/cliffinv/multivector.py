@@ -237,9 +237,9 @@ class Multivector:
     def __mul__(self, other: Union["Multivector", Scalar]) -> "Multivector":
         """Geometric product, or scaling by an int or Fraction.
 
-        A one-term operand c*e_j relabels the other's terms: v*e_i goes to
-        mask i^j with the sign of the blade product, so the product costs
-        one entry per term.  Otherwise the dense numerator lists fold
+        One term times one term, c*e_j times v*e_i, is the single term
+        s(j,i)*c*v on mask j^i (`_term`).  Every other product, zero and
+        one-term-by-many operands included, folds the dense numerator lists
         through the signature's product plan.  The denominators multiply.
         """
         if isinstance(other, Multivector):
@@ -247,17 +247,10 @@ class Multivector:
             sig = self.sig
             a, b = self._n, other._n
             den = self._d * other._d
-            if len(a) == 1:
+            if len(a) == 1 and len(b) == 1:
                 ((j, c),) = a.items()
-                signs, row = product_signs(sig), j * sig.dim
-                if len(b) == 1:
-                    ((i, v),) = b.items()
-                    return Multivector._term(sig, j ^ i, signs[row + i] * c * v, den)
-                return Multivector._from_ints(sig, ((j ^ i, signs[row + i] * c * v) for i, v in b.items()), den)
-            if len(b) == 1:
-                ((j, c),) = b.items()
-                signs, dim = product_signs(sig), sig.dim
-                return Multivector._from_ints(sig, ((i ^ j, signs[i * dim + j] * v * c) for i, v in a.items()), den)
+                ((i, v),) = b.items()
+                return Multivector._term(sig, j ^ i, product_signs(sig)[j * sig.dim + i] * c * v, den)
             x, _ = self._int_dense()
             y, _ = other._int_dense()
             return Multivector._from_ints(sig, enumerate(_fold(_product_plan(sig), x, y, sig.dim)), den)
@@ -375,4 +368,7 @@ class Multivector:
                 coeffs[mask] = Fraction(text)
             except ZeroDivisionError:
                 raise ValueError(f"malformed multivector JSON: zero denominator in coefficient of {key}") from None
+            except ValueError:
+                # Not a rational literal, or a non-finite float: JSON's NaN, Infinity, or 1e999 read as inf.
+                raise ValueError(f"malformed multivector JSON: coefficient of {key} is not a finite rational: {text!r}") from None
         return cls(sig, coeffs)

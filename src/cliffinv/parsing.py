@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .blades import BLADE_TEXT, DIGITS, Signature
+from .blades import BLADE_TEXT, DIGITS, MAX_GENERATORS, Signature
 from .errors import LexError, ParseError
 from .multivector import MAX_POWER_BITS, Multivector
 
@@ -56,8 +56,8 @@ Program = list[tuple[str, object]]  # (op, arg) steps, see the module docstring
 
 def tokenize(text: str, n: int) -> list[Token]:
     """Lex an expression for an algebra with n generators."""
-    if n > 5:
-        raise ValueError("at most 5 generators are supported")
+    if n > MAX_GENERATORS:
+        raise ValueError(f"at most {MAX_GENERATORS} generators are supported")
     tokens: list[Token] = []
     append = tokens.append
     i = 0

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .blades import Signature, blade_square_sign
+from .blades import MAX_GENERATORS, Signature, blade_square_sign
 from .inversion import (
     alternate_chain,
     chain_scalar,
@@ -47,7 +47,7 @@ class CheckResult:
             self.detail = detail
 
 
-def all_signatures(min_n: int = 0, max_n: int = 5) -> list[Signature]:
+def all_signatures(min_n: int = 0, max_n: int = MAX_GENERATORS) -> list[Signature]:
     """Every signature with min_n <= p+q <= max_n, ordered by (n, p)."""
     return [Signature(p, n - p) for n in range(min_n, max_n + 1) for p in range(n + 1)]
 

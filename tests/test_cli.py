@@ -7,7 +7,16 @@ from pathlib import Path
 import pytest
 
 import cliffinv
-from cliffinv import Multivector, Signature, discriminant
+from cliffinv import (
+    MAX_GENERATORS,
+    DimensionOutOfRange,
+    InvolutionChain,
+    LengthDeltaMap,
+    Multivector,
+    Signature,
+    discriminant,
+    tokenize,
+)
 from cliffinv.cli import main
 
 
@@ -90,12 +99,19 @@ class TestInv:
 
     @pytest.mark.parametrize(
         "coeffs",
-        [[1, 2], "1+e1", 3, {"1": True}, {"1": None}, {"e1": [1]}, {"1": "1/0"}],
-        ids=["list", "string", "number", "true", "null", "nested", "zero-denominator"],
+        [
+            *map(json.dumps, [[1, 2], "1+e1", 3, {"1": True}, {"1": None}, {"e1": [1]}, {"1": "1/0"}]),
+            # Raw JSON text: json.load reads 1e999999999 as inf, and NaN and Infinity as floats.
+            '{"1": 1e999999999}', '{"1": Infinity}', '{"1": -Infinity}', '{"e2": NaN}', '{"e1": "abc"}',
+        ],
+        ids=[
+            "list", "string", "number", "true", "null", "nested", "zero-denominator",
+            "float-overflow", "infinity", "minus-infinity", "nan", "not-a-rational",
+        ],
     )
     def test_malformed_file_coeffs_exit_one(self, capsys, tmp_path, coeffs):
         path = tmp_path / "mv.json"
-        path.write_text(json.dumps({"p": 0, "q": 2, "coeffs": coeffs}))
+        path.write_text(f'{{"p": 0, "q": 2, "coeffs": {coeffs}}}')
         code, out, err = run(capsys, "inv", "--file", str(path))
         assert code == 1
         assert out == ""
@@ -299,6 +315,30 @@ class TestDeltaSearch:
     def test_bad_grades_exit_one(self, capsys):
         assert run(capsys, "delta-search", "-n", "3", "-I", "0,x")[0] == 1
         assert run(capsys, "delta-search", "-n", "3", "-I", "0,7")[0] == 1
+
+
+class TestGeneratorLimit:
+    """Each refusal one generator past blades.MAX_GENERATORS, with its exact message."""
+
+    @pytest.mark.parametrize(
+        "refuse, error, message",
+        [
+            (lambda n: tokenize("1", n), ValueError, "at most 5 generators are supported"),
+            (lambda n: LengthDeltaMap([1] * (n + 1)), ValueError, "delta tables cover grades 0..5 at most"),
+            (lambda n: InvolutionChain(n, ()), DimensionOutOfRange, "chains exist for 0..5 generators, got 6"),
+            (lambda n: main(["delta-search", "-n", str(n), "-I", "0,1"]), None, "-n must be in 0..5, got 6"),
+        ],
+        ids=["tokenize", "delta-table", "chain", "cli-delta-search"],
+    )
+    def test_refusal_one_past_the_limit(self, capsys, refuse, error, message):
+        if error is None:  # the CLI prints the refusal and exits 1
+            assert refuse(MAX_GENERATORS + 1) == 1
+            out, err = capsys.readouterr()
+            assert (out, err) == ("", f"cliffinv: {message}\n")
+        else:
+            with pytest.raises(error) as info:
+                refuse(MAX_GENERATORS + 1)
+            assert str(info.value) == message
 
 
 class TestVerify:

@@ -165,7 +165,7 @@ class TestProduct:
 
 
 class TestOneTermProduct:
-    """A one-term operand takes the relabelling path of `*`; it must agree with the reference."""
+    """Products with a one-term operand, by `_term` (one term each side) or the fold, agree with the reference."""
 
     @pytest.mark.parametrize("sig", all_signatures(), ids=str)
     def test_matches_blade_by_blade_reference(self, sig):
@@ -230,6 +230,12 @@ class TestOneTermProduct:
         assert calls == []
         rnd(sig, 1) * rnd(sig, 2)
         assert calls == [1]
+        # Only one term times one term skips the fold; a one-term operand of a dense one folds once.
+        one, dense = Multivector.blade(sig, 0b10110, Fraction(-2, 3)), rnd(sig, 3)
+        one * dense
+        assert calls == [1, 1]
+        dense * one
+        assert calls == [1, 1, 1]
 
 
 class TestGradeProjection:

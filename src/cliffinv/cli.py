@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Iterator
 
 from .blades import MAX_GENERATORS, Signature
-from .errors import CliffordError, LexError, NotInvertible, ParseError
+from .errors import CliffordError, LexError, ParseError
 from .inversion import (
     compose_inverse,
     default_chain,
@@ -50,6 +50,14 @@ def _add_input_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("expr", nargs="?", help="multivector expression, e.g. '2 + 3*e1 - 1/2*e12'")
     sub.add_argument("--file", help="read the multivector from a JSON file instead")
     sub.add_argument("--json", action="store_true", help="emit JSON instead of text")
+
+
+def _add_batch_flags(sub: argparse.ArgumentParser, samples: int) -> None:
+    _add_signature_flags(sub)
+    sub.add_argument("--samples", type=int, default=samples)
+    sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument("--bound", type=int, default=10)
+    sub.add_argument("--json", action="store_true")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -91,18 +99,10 @@ def build_parser() -> argparse.ArgumentParser:
     ds.add_argument("--json", action="store_true")
 
     ver = subs.add_parser("verify", help="re-run the randomized identity checks")
-    _add_signature_flags(ver)
-    ver.add_argument("--samples", type=int, default=50)
-    ver.add_argument("--seed", type=int, default=0)
-    ver.add_argument("--bound", type=int, default=10)
-    ver.add_argument("--json", action="store_true")
+    _add_batch_flags(ver, samples=50)
 
     bench = subs.add_parser("bench", help="time formula inversion against matrix inversion")
-    _add_signature_flags(bench)
-    bench.add_argument("--samples", type=int, default=100)
-    bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument("--bound", type=int, default=10)
-    bench.add_argument("--json", action="store_true")
+    _add_batch_flags(bench, samples=100)
 
     return parser
 
@@ -328,10 +328,7 @@ def main(argv: list[str] | None = None) -> int:
     except (LexError, ParseError) as exc:
         print(f"cliffinv: {exc.message} (offset {exc.offset})", file=sys.stderr)
         return EXIT_USAGE
-    except NotInvertible:
-        print("not invertible, D = 0", file=sys.stderr)
-        return EXIT_NOT_INVERTIBLE
-    except (CliffordError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (CliffordError, ValueError, OSError) as exc:
         print(f"cliffinv: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -11,9 +11,9 @@ S = (+)_{k in I} L_k exactly when its sign table satisfies
     delta(k + l - 2s) = delta(k) * delta(l) * (-1)**(k*l - s)
 
 for all k, l in I and every feasible overlap s between a grade-k and a
-grade-l blade.  `constraints_for` enumerates those equations,
-`delta_solutions` searches the 2^n candidate tables against them, and
-`product_grades` reads off the grades a * f(a) reaches.
+grade-l blade.  `constraints_for` enumerates those equations and
+`product_grades` checks a table against them, returning the grades a * f(a)
+reaches; `delta_solutions` keeps the 2^n candidate tables it accepts.
 """
 
 from __future__ import annotations
@@ -193,18 +193,17 @@ def is_special_involution(f: LengthDeltaMap, grades: Iterable[int], n: int) -> b
 
 
 def delta_solutions(grades: Iterable[int], n: int) -> list[LengthDeltaMap]:
-    """Every sign table over grades 0..n satisfying the constraints.
+    """Every sign table over grades 0..n that `product_grades` accepts on grades.
 
     Exhaustive search over the 2^n candidates (delta[0] pinned to +1);
     n <= 5 keeps this trivially cheap.
     """
-    cons = constraints_for(grades, n)
-    out = []
-    for bits in range(1 << n):
-        delta = (1,) + tuple(-1 if bits >> (k - 1) & 1 else 1 for k in range(1, n + 1))
-        if all(c.satisfied_by(delta) for c in cons):
-            out.append(LengthDeltaMap(delta))
-    return out
+    grades = list(grades)
+    candidates = (
+        LengthDeltaMap((1,) + tuple(-1 if bits >> k & 1 else 1 for k in range(n)))
+        for bits in range(1 << n)
+    )
+    return [f for f in candidates if product_grades(f, grades) is not None]
 
 
 def invariant_grades(f: LengthDeltaMap, grades: Iterable[int]) -> GradeSet:

@@ -254,6 +254,16 @@ class TestDisc:
         assert "match" in out
         assert "MISMATCH" not in out
 
+    def test_closed_form_mismatch_exits_three(self, capsys, monkeypatch):
+        import cliffinv.cli as cli_mod
+
+        real = cli_mod.discriminant_closed_form
+        monkeypatch.setattr(cli_mod, "discriminant_closed_form", lambda a: real(a) + 1)
+        argv = ("disc", "--closed-form", "-p", "0", "-q", "1", "2+e1")
+        assert run(capsys, *argv) == (3, "D = 3\nclosed form = 4\nMISMATCH\n", "")
+        code, out, _ = run(capsys, *argv, "--json")
+        assert (code, json.loads(out)) == (3, {"D": "3", "closed_form": "4", "match": False})
+
     def test_closed_form_unavailable_at_five_generators(self, capsys):
         code, _, err = run(capsys, "disc", "--closed-form", "-p", "2", "-q", "3", "1+e1")
         assert code == 1
@@ -412,6 +422,10 @@ class TestBench:
         assert p1["signature"] == p2["signature"]
         assert p1["samples"] == p2["samples"]
         assert set(p1["lanes"]) == set(p2["lanes"]) == {"formula", "matrix"}
+
+    def test_zero_samples_exit_one(self, capsys):
+        code, out, err = run(capsys, "bench", "-p", "0", "-q", "1", "--samples", "0")
+        assert (code, out, err) == (1, "", "cliffinv: samples must be >= 1\n")
 
     def test_float_lane_is_gone(self, capsys):
         code, out, err = run(

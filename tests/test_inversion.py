@@ -85,6 +85,10 @@ class TestChainConstruction:
         with pytest.raises(ValueError):
             InvolutionChain(3, (psi_delta(3), conjugation_delta(3)))
 
+    def test_chain_steps_must_cover_its_generators(self):
+        with pytest.raises(DimensionMismatch, match=r"^map covers grades 0\.\.4, expected 0\.\.3$"):
+            InvolutionChain(3, (reversion_delta(4),))
+
 
 class TestComposeInverse:
     def test_unit_has_discriminant_one(self):

@@ -162,6 +162,9 @@ class TestProduct:
         assert a**0 == Multivector.unit(S02)
         assert a**1 == a
         assert a**3 == a * a * a
+        for exponent in (-1, 1.5):
+            with pytest.raises(ValueError, match="^exponent must be a nonnegative integer$"):
+                a**exponent
 
 
 class TestOneTermProduct:
@@ -319,6 +322,7 @@ class TestTextForm:
             Signature(1, 2), {0: Fraction(2, 3), 1: Fraction(-1, 3), 0b110: 2, 0b111: -1}
         )
         assert str(m) == "2/3 - 1/3*e1 + 2*e23 - e123"
+        assert repr(m) == "Multivector(Cl(1,2), '2/3 - 1/3*e1 + 2*e23 - e123')"
 
 
 class TestJsonForm:

@@ -229,6 +229,11 @@ class TestPostfixProgram:
         assert ev("-(1+e1)", S01) == Multivector(S01, {0: -1, 1: -1})
         assert ev("--e12", S02) == Multivector.blade(S02, 0b11)
 
+    def test_blade_outside_the_signature_is_refused(self):
+        # tokenize checks blades against n; a program run in a smaller algebra is refused here
+        with pytest.raises(ValueError, match=r"^blade mask 4 outside the Cl\(0,2\) basis$"):
+            parsing.evaluate(parse(tokenize("e3", 3)), S02)
+
     def test_syntax_errors_come_before_arithmetic(self, monkeypatch):
         def no_arithmetic(program, sig):
             raise AssertionError("evaluated before the whole input parsed")

@@ -1,6 +1,7 @@
 """The verify pass: one draw and one inversion per sample, every failing seed reported."""
 
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -51,45 +52,69 @@ class TestSinglePass:
             assert 0 < r.invertible == expected < 30
 
 
+def _break_on(monkeypatch, bad, targets):
+    """Patch each named verify_mod function to give its WRONG result on bad."""
+    for target in targets:
+        real, wrong = getattr(verify_mod, target), WRONG[target]
+        monkeypatch.setattr(
+            verify_mod,
+            target,
+            lambda a, *rest, real=real, wrong=wrong: (
+                wrong(real, a, *rest) if a == bad else real(a, *rest)
+            ),
+        )
+
+
+# Each function a check reads, and a wrong result for it.
+WRONG = {
+    "oracle_inverse": lambda real, a: Multivector.unit(a.sig),
+    "chain_scalar": lambda real, a, chain: real(a, chain) + 1,
+    "discriminant_closed_form": lambda real, a: real(a) + 1,
+    "compose_inverse": lambda real, a, chain: replace(
+        real(a, chain), inverse=Multivector.unit(a.sig)
+    ),
+}
+
+# (check, its failure wording, the functions to break so that only it fails)
+DISAGREEMENTS = [
+    ("oracle-equivalence", "oracle disagreed on", ["oracle_inverse"]),
+    ("chain-agreement", "chain scalars split on", ["chain_scalar"]),
+    ("closed-form", "closed form disagreed on", ["discriminant_closed_form"]),
+]
+# The chain and the oracle agree on a wrong inverse: only the round trip sees it.
+ROUND_TRIP = ("round-trip", "round trip broke on", ["compose_inverse", "oracle_inverse"])
+
+
+def assert_only_failure(results, name, failing_seeds, detail):
+    assert [r.name for r in results] == [
+        "round-trip", "oracle-equivalence", "closed-form", "chain-agreement"
+    ]
+    for r in results:
+        expected = (1, failing_seeds, detail) if r.name == name else (0, [], "")
+        assert (r.failures, r.failing_seeds, r.detail) == expected
+
+
 class TestFaultInjection:
     @pytest.mark.parametrize(
-        "target, name, wording, wrong",
-        [
-            ("oracle_inverse", "oracle-equivalence", "oracle disagreed on",
-             lambda real, a: Multivector.unit(a.sig)),
-            ("chain_scalar", "chain-agreement", "chain scalars split on",
-             lambda real, a, chain: real(a, chain) + 1),
-            ("discriminant_closed_form", "closed-form", "closed form disagreed on",
-             lambda real, a: real(a) + 1),
-        ],
-        ids=["oracle-equivalence", "chain-agreement", "closed-form"],
+        "name, wording, targets",
+        DISAGREEMENTS + [ROUND_TRIP],
+        ids=[case[0] for case in DISAGREEMENTS + [ROUND_TRIP]],
     )
-    def test_exactly_the_broken_seed_is_reported(self, monkeypatch, target, name, wording, wrong):
+    def test_exactly_the_broken_seed_is_reported(self, monkeypatch, name, wording, targets):
         sig, seed, bad_seed = Signature(1, 2), 100, 104
         bad = Multivector.random(sig, bad_seed, 10)
-        real = getattr(verify_mod, target)
-        monkeypatch.setattr(
-            verify_mod, target, lambda a, *rest: wrong(real, a, *rest) if a == bad else real(a, *rest)
-        )
+        _break_on(monkeypatch, bad, targets)
         results = run_verification([sig], 10, seed, 10)
-        assert [r.name for r in results] == [
-            "round-trip", "oracle-equivalence", "closed-form", "chain-agreement"
-        ]
-        for r in results:
-            if r.name == name:
-                assert (r.failures, r.failing_seeds) == (1, [bad_seed])
-                assert r.detail == f"{wording} {bad}"
-            else:
-                assert (r.failures, r.failing_seeds, r.detail) == (0, [], "")
+        assert_only_failure(results, name, [bad_seed], f"{wording} {bad}")
 
-    def test_zero_divisor_failure_has_no_seed(self, monkeypatch):
-        sig = Signature(0, 1)
-        zd = Multivector(sig, {0: 1, 1: 1})
-        real = verify_mod.oracle_inverse
-        monkeypatch.setattr(
-            verify_mod, "oracle_inverse", lambda a: Multivector.unit(sig) if a == zd else real(a)
-        )
-        oracle = run_verification([sig], 5, 0, 10)[1]
-        assert oracle.name == "oracle-equivalence"
-        assert (oracle.failures, oracle.failing_seeds) == (1, [])
-        assert oracle.detail == f"oracle disagreed on {zd}"
+    @pytest.mark.parametrize(
+        "name, wording, targets", DISAGREEMENTS, ids=[case[0] for case in DISAGREEMENTS]
+    )
+    def test_zero_divisor_failure_has_no_seed(self, monkeypatch, name, wording, targets):
+        # Cl(1,2) runs all four checks; e2 squares to +1, so 1 + e2 is a zero divisor.
+        sig = Signature(1, 2)
+        zd = Multivector(sig, {0: 1, 0b10: 1})
+        assert discriminant(zd) == 0
+        _break_on(monkeypatch, zd, targets)
+        results = run_verification([sig], 5, 0, 10)
+        assert_only_failure(results, name, [], f"{wording} {zd}")

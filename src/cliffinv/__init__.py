@@ -62,7 +62,22 @@ from .involutions import (
     reversion_delta,
 )
 from .multivector import Multivector
-from .oracle import RegularMatrix, oracle_inverse, oracle_is_invertible, regular_matrix
 from .parsing import evaluate, parse, parse_expression, tokenize
 
 __version__ = "0.1.0"
+
+# The oracle's names load on first access (PEP 562), so that `cliffinv inv`
+# and the other commands that never consult the oracle do not import it.
+_ORACLE_NAMES = ("RegularMatrix", "oracle_inverse", "oracle_is_invertible", "regular_matrix")
+
+
+def __getattr__(name: str) -> object:
+    if name in _ORACLE_NAMES:
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted([*globals(), *_ORACLE_NAMES])

@@ -12,7 +12,6 @@ generator the operands share.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -25,20 +24,42 @@ DIGITS = "0123456789"
 Blade = int
 
 
-@dataclass(frozen=True)
-class Signature:
+class _Frozen:
+    """Base of the immutable value classes: __init__ fills __dict__, nothing writes it later."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Signature(_Frozen):
     """Metric signature (p, q): generators 1..p square to -1, p+1..p+q to +1."""
 
+    __match_args__ = ("p", "q")
     p: int
     q: int
 
-    def __post_init__(self) -> None:
-        if self.p < 0 or self.q < 0:
-            raise ValueError(f"signature counts must be nonnegative, got ({self.p}, {self.q})")
-        if self.p + self.q > MAX_GENERATORS:
-            raise ValueError(
-                f"at most {MAX_GENERATORS} generators are supported, got p+q={self.p + self.q}"
-            )
+    def __init__(self, p: int, q: int) -> None:
+        if p < 0 or q < 0:
+            raise ValueError(f"signature counts must be nonnegative, got ({p}, {q})")
+        if p + q > MAX_GENERATORS:
+            raise ValueError(f"at most {MAX_GENERATORS} generators are supported, got p+q={p + q}")
+        self.__dict__.update(p=p, q=q)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.p, self.q) == (other.p, other.q)
+
+    def __hash__(self) -> int:
+        return hash((self.p, self.q))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(p={self.p!r}, q={self.q!r})"
 
     @property
     def n(self) -> int:

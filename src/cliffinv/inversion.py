@@ -19,12 +19,11 @@ a cross-check against the chain scalar.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Optional
 
-from .blades import MAX_GENERATORS, Signature, blade_square_sign, blade_to_text, product_signs
+from .blades import MAX_GENERATORS, Signature, _Frozen, blade_square_sign, blade_to_text, product_signs
 from .errors import DimensionMismatch, DimensionOutOfRange, NotInvertible, SubspaceViolation
 from .involutions import (
     GradeSet,
@@ -37,8 +36,7 @@ from .involutions import (
 from .multivector import Multivector, _fold, _Plan
 
 
-@dataclass(frozen=True)
-class InvolutionChain:
+class InvolutionChain(_Frozen):
     """An ordered list of grade-sign maps driving an element down to a scalar.
 
     domains[i] is the grade set the i-th map acts on: the whole algebra
@@ -47,18 +45,19 @@ class InvolutionChain:
     the last step must reach only the scalars.
     """
 
+    __match_args__ = ("n", "steps")
     n: int
     steps: tuple[LengthDeltaMap, ...]
-    domains: tuple[GradeSet, ...] = field(init=False)
+    domains: tuple[GradeSet, ...]
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.n <= MAX_GENERATORS:
-            raise DimensionOutOfRange(f"chains exist for 0..{MAX_GENERATORS} generators, got {self.n}")
-        running: GradeSet = frozenset(range(self.n + 1))
+    def __init__(self, n: int, steps: tuple[LengthDeltaMap, ...]) -> None:
+        if not 0 <= n <= MAX_GENERATORS:
+            raise DimensionOutOfRange(f"chains exist for 0..{MAX_GENERATORS} generators, got {n}")
+        running: GradeSet = frozenset(range(n + 1))
         domains = []
-        for step in self.steps:
-            if step.n != self.n:
-                raise DimensionMismatch(f"map covers grades 0..{step.n}, expected 0..{self.n}")
+        for step in steps:
+            if step.n != n:
+                raise DimensionMismatch(f"map covers grades 0..{step.n}, expected 0..{n}")
             reached = product_grades(step, running)
             if reached is None:
                 raise ValueError(f"{step} does not reverse products on grades {sorted(running)}")
@@ -66,11 +65,21 @@ class InvolutionChain:
             running = reached
         if running != frozenset({0}):
             raise ValueError(f"chain must end on the scalars, ended on grades {sorted(running)}")
-        object.__setattr__(self, "domains", tuple(domains))
+        self.__dict__.update(n=n, steps=steps, domains=tuple(domains))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.steps, self.domains) == (other.n, other.steps, other.domains)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.steps, self.domains))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(n={self.n!r}, steps={self.steps!r}, domains={self.domains!r})"
 
 
-@dataclass(frozen=True, eq=False)
-class InverseResult:
+class InverseResult(_Frozen):
     """Outcome of a chain run: the scalar D, the factor list, and the inverse.
 
     The element times the ordered factor product equals D exactly; the
@@ -80,10 +89,17 @@ class InverseResult:
     Results compare and hash by (discriminant, factors, inverse).
     """
 
+    __match_args__ = ("discriminant", "inverse")
     discriminant: Fraction
     inverse: Optional[Multivector]
-    _a: Multivector = field(repr=False, kw_only=True)
-    _chain: InvolutionChain = field(repr=False, kw_only=True)
+
+    def __init__(
+        self, discriminant: Fraction, inverse: Optional[Multivector], *, _a: Multivector, _chain: InvolutionChain
+    ) -> None:
+        self.__dict__.update(discriminant=discriminant, inverse=inverse, _a=_a, _chain=_chain)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(discriminant={self.discriminant!r}, inverse={self.inverse!r})"
 
     @cached_property
     def factors(self) -> tuple[Multivector, ...]:

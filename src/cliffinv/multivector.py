@@ -9,7 +9,6 @@ A reduced `Fraction` per term is built only where coefficients are read
 
 from __future__ import annotations
 
-import random
 import re
 from fractions import Fraction
 from functools import lru_cache
@@ -164,6 +163,8 @@ class Multivector:
         """
         if coeff_bound < 1:
             raise ValueError("coeff_bound must be >= 1")
+        import random  # here, so that the commands which draw no samples do not load it
+
         rng = random.Random(f"cl({sig.p},{sig.q})|{seed}|{coeff_bound}")
         coeffs = {m: rng.randint(-coeff_bound, coeff_bound) for m in range(sig.dim)}
         return cls(sig, coeffs)

@@ -402,6 +402,38 @@ class TestLazyImports:
         )
         assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
 
+    def test_inv_imports_neither_dataclasses_nor_the_oracle(self):
+        # A fresh interpreter; the oracle's names still load on first access.
+        script = (
+            "import contextlib, io, sys\n"
+            "before = set(sys.modules)\n"
+            "import cliffinv.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert cliffinv.cli.main(['inv', '-p', '2', '-q', '3', '1+e12']) == 0\n"
+            "heavy = {'dataclasses', 'inspect', 'cliffinv.oracle', 'cliffinv.verify', 'cliffinv.bench'}\n"
+            "print(sorted(heavy & (set(sys.modules) - before)))\n"
+            "import cliffinv\n"
+            "print('oracle_inverse' in dir(cliffinv), 'cliffinv.oracle' in sys.modules)\n"
+            "from cliffinv import RegularMatrix\n"
+            "print(cliffinv.oracle_inverse is sys.modules['cliffinv.oracle'].oracle_inverse, RegularMatrix.__name__)\n"
+            "try:\n"
+            "    cliffinv.no_such_name\n"
+            "except AttributeError as exc:\n"
+            "    print(exc)\n"
+        )
+        src = str(Path(cliffinv.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout.splitlines() == [
+            "[]",
+            "True False",
+            "True RegularMatrix",
+            "module 'cliffinv' has no attribute 'no_such_name'",
+        ]
+
 
 class TestBench:
     def test_reports_both_lanes(self, capsys):

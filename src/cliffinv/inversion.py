@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Optional
 
-from .blades import MAX_GENERATORS, Signature, _Frozen, blade_square_sign, blade_to_text, product_signs
+from .blades import MAX_GENERATORS, Signature, _Frozen, blade_to_text, product_signs
 from .errors import DimensionMismatch, DimensionOutOfRange, NotInvertible, SubspaceViolation
 from .involutions import (
     GradeSet,
@@ -72,8 +72,13 @@ class InvolutionChain(_Frozen):
             return NotImplemented
         return (self.n, self.steps, self.domains) == (other.n, other.steps, other.domains)
 
-    def __hash__(self) -> int:
+    @cached_property
+    def _hash(self) -> int:
         return hash((self.n, self.steps, self.domains))
+
+    def __hash__(self) -> int:
+        # Kept after the first call: each compose_inverse looks the chain up in the plan cache.
+        return self._hash
 
     def __repr__(self) -> str:
         return f"{type(self).__qualname__}(n={self.n!r}, steps={self.steps!r}, domains={self.domains!r})"
@@ -204,9 +209,9 @@ def _plans(sig: Signature, chain: InvolutionChain) -> tuple[tuple[_Plan, ...], t
                 row.append((j, m, w))
             if row:
                 rows.append((i, tuple(row)))
-        steps.append(tuple(rows))
+        steps.append(_Plan(tuple(rows), dim))
         factor = tuple((j, tuple((i, i ^ j, signs[i * dim + j] * delta[j]) for i in support)) for j in blades)
-        factors.append(factor)
+        factors.append(_Plan(factor, dim))
         support = sorted({i ^ j for i in support for j in blades})
     return tuple(steps), tuple(factors)
 
@@ -219,11 +224,10 @@ def _run_chain(a: Multivector, steps: tuple[_Plan, ...]) -> tuple[list[list[int]
     den**(2**steps)), and den.
     """
     cur, den = a._int_dense()
-    dim = a.sig.dim
     entering = []
-    for rows in steps:
+    for plan in steps:
         entering.append(cur)
-        cur = _fold(rows, cur, cur, dim)
+        cur = _fold(plan, cur, cur)
     return entering, cur[0], den
 
 
@@ -243,11 +247,10 @@ def compose_inverse(a: Multivector, chain: InvolutionChain) -> InverseResult:
     # a**-1 = (1/D) * f1 * ... * fm.  The k-th factor's numerators sit over
     # den**(2**(k-1)), so the product sits over den**(2**m - 1), and with
     # 1/D = den**(2**m) / d_num the inverse is den * (factor numerators) / d_num.
-    dim = a.sig.dim
-    product = [0] * dim
+    product = [0] * a.sig.dim
     product[0] = den
-    for rows, cur in zip(assembly, entering):
-        product = _fold(rows, cur, product, dim)
+    for plan, cur in zip(assembly, entering):
+        product = _fold(plan, cur, product)
     return InverseResult(d, Multivector._from_ints(a.sig, enumerate(product), d_num), _a=a, _chain=chain)
 
 
@@ -316,18 +319,23 @@ def _closed_form_2(x: list[int], sig: Signature) -> int:
     )
 
 
-def _diagonal_sum(x: list[int], sig: Signature, e: int) -> int:
-    """Sum over all blades b of x_b^2 * x_{b XOR e}^2, times e's scalar square."""
-    total = sum((x[b] * x[b ^ e]) ** 2 for b in range(sig.dim))
-    return total * blade_square_sign(e, sig)
+def _diagonal_sums(x: list[int], sig: Signature, plus: set[int]) -> int:
+    """Sum over blades e of +-e^2 * (sum over all blades b of x_b^2 * x_{b XOR e}^2), + for e in plus.
+
+    e^2 is read from the sign table; the squares x_b^2 are taken once.
+    """
+    dim = sig.dim
+    signs = product_signs(sig)
+    sq = [v * v for v in x]
+    total = 0
+    for e in range(dim):
+        square = signs[e * dim + e]
+        total += sum(sq[b] * sq[b ^ e] for b in range(dim)) * (square if e in plus else -square)
+    return total
 
 
 def _closed_form_3(x: list[int], sig: Signature) -> int:
-    plus = {0b000, 0b111}
-    total = 0
-    for e in range(8):
-        c = _diagonal_sum(x, sig, e)
-        total = total + c if e in plus else total - c
+    total = _diagonal_sums(x, sig, {0b000, 0b111})
     cross = x[0b000] * x[0b111] - x[0b001] * x[0b110] + x[0b010] * x[0b101] - x[0b100] * x[0b011]
     total += 4 * cross**2 * _metric_product(sig, 0b111)
     return total
@@ -347,11 +355,7 @@ def _pair_square_term(x: list[int], sig: Signature, i: int, j: int, k: int, l: i
 
 
 def _closed_form_4(x: list[int], sig: Signature) -> int:
-    plus = {0b0000, 0b0111, 0b1011, 0b1101, 0b1110, 0b1111}
-    total = 0
-    for e in range(16):
-        c = _diagonal_sum(x, sig, e)
-        total = total + c if e in plus else total - c
+    total = _diagonal_sums(x, sig, {0b0000, 0b0111, 0b1011, 0b1101, 0b1110, 0b1111})
     total += (
         _pair_square_term(x, sig, 1, 3, 2, 4)
         + _pair_square_term(x, sig, 1, 4, 2, 3)

@@ -13,7 +13,7 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm, log2
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Callable, Iterable, Iterator, Mapping, Union
 
 from .blades import BLADE_TEXT, MAX_GENERATORS, Blade, Signature, blade_from_text, blade_order, product_signs
 from .errors import GradeOutOfRange, SignatureMismatch
@@ -47,25 +47,85 @@ def _ratio_text(v: int, d: int) -> str:
     return str(v // g) if g == d else f"{v // g}/{d // g}"
 
 
-# A compiled plan is a tuple of rows; a row (i, ((j, m, w), ...)) adds
-# w * x_i * y_j onto mask m for each listed j (`_fold`).
-_Plan = tuple[tuple[int, tuple[tuple[int, int, int], ...]], ...]
+# A plan folds this many times through its rows before `_fold` compiles it.
+_HOT = 128
 
 
-def _fold(rows: _Plan, x: list[int], y: list[int], dim: int) -> list[int]:
-    """Run one plan on integer coefficient lists indexed by mask.
+class _Plan:
+    """A bilinear map on coefficient lists indexed by mask, as integer rows.
 
-    The one multiply-accumulate loop: `*` runs it on the full product plan
-    (`_product_plan`), the inversion chain on each step's plan and on its
-    assembly plan.  Rows whose x_i is zero are skipped.
+    A row (i, ((j, m, w), ...)) adds w * x_i * y_j onto mask m for each
+    listed j.  `_fold` counts the plan's uses and, on the `_HOT`-th, stores
+    a compiled `kernel` that every later fold calls instead of the rows.
     """
-    acc = [0] * dim
-    for i, row in rows:
+
+    __slots__ = ("rows", "dim", "uses", "kernel")
+
+    def __init__(self, rows: tuple[tuple[int, tuple[tuple[int, int, int], ...]], ...], dim: int) -> None:
+        self.rows, self.dim, self.uses, self.kernel = rows, dim, 0, None
+
+
+def _fold(plan: _Plan, x: list[int], y: list[int]) -> list[int]:
+    """Run one plan on integer coefficient lists of length plan.dim.
+
+    The one product kernel: `*` runs it on the full product plan
+    (`_product_plan`), the inversion chain on each step's plan and on its
+    assembly plan.  The first `_HOT` folds of a plan interpret its rows,
+    skipping rows whose x_i is zero; from then on the plan's compiled
+    kernel (`_compile`) computes the same list.
+    """
+    kernel = plan.kernel
+    if kernel is not None:
+        return kernel(x, y)
+    acc = [0] * plan.dim
+    for i, row in plan.rows:
         xi = x[i]
         if xi:
             for j, m, w in row:
                 acc[m] += w * xi * y[j]
+    plan.uses += 1
+    if plan.uses == _HOT:
+        plan.kernel = _compile(plan)
     return acc
+
+
+# Plan entries per compiled function.  Compiling holds about 1 KB per entry
+# until it returns, and that high-water mark stays in the process; a larger
+# plan is compiled in parts, and its kernel joins their lists.
+_PART = 256
+
+
+def _compile(plan: _Plan) -> Callable[[list[int], list[int]], list[int]]:
+    """A straight-line function of (x, y) that returns what folding the plan's rows returns.
+
+    Each part unpacks both lists into locals and returns one sum of
+    products per output mask of its run of masks, every plan entry
+    included: a weight's sign becomes the term's sign and a magnitude above
+    one its factor (`2*`).  The source is built from the plan's integers
+    only, one term a line, which keeps the code's position table small.
+    """
+    sums: list[list[str]] = [[] for _ in range(plan.dim)]
+    for i, row in plan.rows:
+        for j, m, w in row:
+            mag = abs(w)
+            sums[m].append(f"{'-' if w < 0 else '+'} {'' if mag == 1 else f'{mag}*'}x{i}*y{j}")
+    parts: list[list[str]] = [[]]
+    size = 0
+    for terms in sums:
+        if parts[-1] and size + len(terms) > _PART:
+            parts.append([])
+            size = 0
+        parts[-1].append("\n".join(terms).lstrip("+ ") or "0")
+        size += len(terms)
+    unpack = "".join(f"    {''.join(f'{v}{k}, ' for k in range(plan.dim))}= {v}\n" for v in "xy")
+    namespace: dict = {}
+    for k, part in enumerate(parts):
+        exec(compile(f"def part{k}(x, y):\n{unpack}    return [{', '.join(part)}]\n", "<plan kernel>", "exec"), namespace)
+    if len(parts) == 1:
+        return namespace["part0"]
+    joined = " + ".join(f"part{k}(x, y)" for k in range(len(parts)))
+    exec(compile(f"def kernel(x, y):\n    return {joined}\n", "<plan kernel>", "exec"), namespace)
+    return namespace["kernel"]
 
 
 @lru_cache(maxsize=None)
@@ -74,8 +134,8 @@ def _product_plan(sig: Signature) -> _Plan:
     signs = product_signs(sig)
     dim = sig.dim
     cols = range(dim)
-    return tuple(
-        (i, tuple(zip(cols, [i ^ j for j in cols], signs[i * dim : (i + 1) * dim]))) for i in cols
+    return _Plan(
+        tuple((i, tuple(zip(cols, [i ^ j for j in cols], signs[i * dim : (i + 1) * dim]))) for i in cols), dim
     )
 
 
@@ -254,7 +314,7 @@ class Multivector:
                 return Multivector._term(sig, j ^ i, product_signs(sig)[j * sig.dim + i] * c * v, den)
             x, _ = self._int_dense()
             y, _ = other._int_dense()
-            return Multivector._from_ints(sig, enumerate(_fold(_product_plan(sig), x, y, sig.dim)), den)
+            return Multivector._from_ints(sig, enumerate(_fold(_product_plan(sig), x, y)), den)
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         return NotImplemented

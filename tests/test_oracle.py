@@ -142,18 +142,20 @@ class TestOracleIsInvertible:
                 assert oracle_is_invertible(a) == (discriminant(a) != 0)
 
 
+class _Rows(list):
+    """Rows of an elimination that count item writes: a row swap is two."""
+
+    writes = 0
+
+    def __setitem__(self, i, row):
+        self.writes += 1
+        super().__setitem__(i, row)
+
+
 def _elimination_profile(a):
     """(row swaps, last pivot) of the oracle's elimination on a's augmented matrix."""
-
-    class Rows(list):
-        writes = 0
-
-        def __setitem__(self, i, row):
-            self.writes += 1
-            super().__setitem__(i, row)
-
     int_rows, _ = _int_matrix(a)
-    rows = Rows(row + [1 if i == 0 else 0] for i, row in enumerate(int_rows))
+    rows = _Rows(row + [1 if i == 0 else 0] for i, row in enumerate(int_rows))
     if not _eliminate(rows, len(rows) + 1):
         return rows.writes // 2, 0
     return rows.writes // 2, rows[-1][-2]
@@ -239,25 +241,28 @@ def _split_samples(sig, rng):
 
 def _block_profiles(a):
     """(side, row swaps, last pivot or 0 if singular) of each augmented block's elimination."""
-
-    class Rows(list):
-        writes = 0
-
-        def __setitem__(self, i, row):
-            self.writes += 1
-            super().__setitem__(i, row)
-
     blocks, _ = _blocks(a, _split(a.sig))
     out = []
     for block in blocks:
-        rows = Rows(row + [1 if i == 0 else 0] for i, row in enumerate(block))
+        rows = _Rows(row + [1 if i == 0 else 0] for i, row in enumerate(block))
         full = _eliminate(rows, len(rows) + 1)
         out.append((len(rows), rows.writes // 2, rows[-1][-2] if full else 0))
     return out
 
 
+def _idempotents(sig, split):
+    """f_eps = prod_i (1 + (-1)^eps_i b_i)/2 for every k-bit eps, from Multivector products."""
+    out = []
+    for eps in range(1 << len(split.blades)):
+        f = Multivector.unit(sig)
+        for i, b in enumerate(split.blades):
+            f = f * Multivector(sig, {0: Fraction(1, 2), b: Fraction(-1 if eps >> i & 1 else 1, 2)})
+        out.append(f)
+    return out
+
+
 class TestIdempotentSplit:
-    """M(a) is solved as 2^k blocks, one per idempotent f_eps = prod (1 + eps_i b_i)/2."""
+    """M(a) is block diagonal on the ideals of the idempotents f_eps; one block per orbit is solved."""
 
     def test_split_blades_and_block_shapes(self):
         sides = {}
@@ -273,7 +278,7 @@ class TestIdempotentSplit:
                 assert b not in span
                 span |= {m ^ b for m in span}
             assert len(span) == 1 << k
-            # 2^k blocks of side 2^(n-k); the representative column c = 0 of
+            # 2^k stacks of side x side cells, one per S, side = 2^(n-k); column c = 0 of
             # row (S, r) holds the coset member y itself, as M[y][0] = a_y.
             side = sig.dim >> k
             assert len(split.cells) == 1 << k
@@ -302,17 +307,13 @@ class TestIdempotentSplit:
         }
 
     def test_blocks_are_left_multiplication_on_the_ideals(self):
-        # a * e_m f_eps = sum_r B_eps[r][m] e_r f_eps for each representative m.
+        # a * e_m f_eps = sum_r B_eps[r][m] e_r f_eps for each representative m,
+        # one block per orbit, that of its representative eps.
         rng = random.Random(14)
         for sig in all_signatures():
             split = _split(sig)
             one = Multivector.unit(sig)
-            idempotents = []
-            for eps in range(1 << len(split.blades)):
-                f = one
-                for i, b in enumerate(split.blades):
-                    f = f * Multivector(sig, {0: Fraction(1, 2), b: Fraction(-1 if eps >> i & 1 else 1, 2)})
-                idempotents.append(f)
+            idempotents = _idempotents(sig, split)
             total = Multivector.zero(sig)
             for f in idempotents:
                 assert f * f == f
@@ -321,8 +322,9 @@ class TestIdempotentSplit:
             a = rnd(sig, rng.randrange(10**6), 5)
             blocks, den = _blocks(a, split)
             assert den == 1
+            assert len(blocks) == len(split.orbits)
             reps = [Multivector.blade(sig, mask) for mask, S, _, _ in split.gather if S == 0]
-            for f, block in zip(idempotents, blocks):
+            for f, block in zip([idempotents[eps] for eps in split.orbits], blocks):
                 for m, e_m in enumerate(reps):
                     image = Multivector.zero(sig)
                     for r, e_r in enumerate(reps):
@@ -343,7 +345,7 @@ class TestIdempotentSplit:
                     singular += 1
                     dead = sum(pivot == 0 for _, _, pivot in _block_profiles(a))
                     assert dead >= 1
-                    partly_singular += dead < 1 << len(_split(sig).blades)
+                    partly_singular += dead < len(_split(sig).orbits)
         assert count >= 450 and singular >= 150
         # Some singular samples keep full rank in some of their blocks.
         assert partly_singular
@@ -368,3 +370,96 @@ class TestIdempotentSplit:
         modules = {name.rsplit(".", 1)[-1] for name in imported if name}
         assert modules.isdisjoint({"inversion", "involutions", "verify", "bench", "parsing"})
         assert {"blades", "multivector"} <= modules
+
+
+def _pattern(sig, split, e):
+    """sigma(e): bit i set iff the blade e anticommutes with b_i, from Multivector products."""
+    blade = Multivector.blade(sig, e)
+    out = 0
+    for i, b in enumerate(split.blades):
+        other = Multivector.blade(sig, b)
+        if blade * other == -(other * blade):
+            out |= 1 << i
+        else:
+            assert blade * other == other * blade
+    return out
+
+
+def _product_block(a, f, reps):
+    """B[r][m] with a * e_m f = sum_r B[r][m] e_r f, read off Multivector products.
+
+    e_r f = 2^-k (e_r + terms on the other blades of e_r's coset), so the
+    coordinate on e_r f is 2^k times the coefficient of e_r.
+    """
+    sig = a.sig
+    scale = len(blade_order(sig.n)) // len(reps)
+    images = [a * Multivector.blade(sig, m) * f for m in reps]
+    block = [[image.coeff(r) * scale for image in images] for r in reps]
+    assert all(v.denominator == 1 for row in block for v in row)
+    return [[int(v) for v in row] for row in block]
+
+
+def _bareiss_det(block):
+    """det(block) from the oracle's elimination: the last pivot, signed by the row swaps."""
+    rows = _Rows(list(row) for row in block)
+    if not _eliminate(rows, len(rows)):
+        return 0
+    return (-1) ** (rows.writes // 2) * rows[-1][-1]
+
+
+class TestOrbits:
+    """Ideals Cl f_eps and Cl f_(eps ^ sigma(e)) are isomorphic under right multiplication by e^-1."""
+
+    def test_conjugating_an_idempotent_by_a_member(self):
+        for sig in all_signatures():
+            split = _split(sig)
+            k = len(split.blades)
+            idempotents = _idempotents(sig, split)
+            patterns = [_pattern(sig, split, e) for e in split.members]
+            # One member per pattern, the unit first; the patterns of all blades form the group H.
+            assert split.members[0] == 0 and len(set(patterns)) == len(patterns)
+            assert set(patterns) == {_pattern(sig, split, e) for e in range(sig.dim)}
+            assert all(h ^ g in patterns for h in patterns for g in patterns)
+            # The orbit representatives are the smallest eps of the cosets of H, which they cover once.
+            assert sorted(eps ^ h for eps in split.orbits for h in patterns) == list(range(1 << k))
+            assert all(eps <= eps ^ h for eps in split.orbits for h in patterns)
+            for eps in split.orbits:
+                for e, h in zip(split.members, patterns):
+                    blade = Multivector.blade(sig, e)
+                    e_inv = oracle_inverse(blade)
+                    assert blade * e_inv == Multivector.unit(sig)
+                    assert blade * idempotents[eps] * e_inv == idempotents[eps ^ h]
+
+    def test_two_orbits_exactly_when_the_pseudoscalar_is_central_and_squares_to_one(self):
+        counts = {}
+        for sig in all_signatures():
+            pseudoscalar = Multivector.blade(sig, sig.dim - 1)
+            squares_to_one = pseudoscalar * pseudoscalar == Multivector.unit(sig)
+            counts[(sig.p, sig.q)] = len(_split(sig).orbits)
+            assert counts[(sig.p, sig.q)] == (2 if sig.n % 2 and squares_to_one else 1)
+        assert sorted(pq for pq, count in counts.items() if count == 2) == [
+            (0, 1), (0, 5), (1, 2), (2, 3), (3, 0), (4, 1),
+        ]
+
+    def test_blocks_of_an_orbit_share_their_determinant(self):
+        rng = random.Random(20)
+        for sig in all_signatures():
+            split = _split(sig)
+            idempotents = _idempotents(sig, split)
+            patterns = [_pattern(sig, split, e) for e in split.members]
+            reps = [mask for mask, S, _, _ in split.gather if S == 0]
+            samples = [rnd(sig, rng.randrange(10**6), 4) for _ in range(3)]
+            samples += _unit_plus_square_one_blades(sig)[:2]
+            dets = set()
+            for a in samples:
+                blocks, _ = _blocks(a, split)
+                for eps, block in zip(split.orbits, blocks):
+                    built = [_product_block(a, idempotents[eps ^ h], reps) for h in patterns]
+                    # The oracle's block is the representative's.
+                    assert built[0] == block
+                    orbit_dets = {_bareiss_det(b) for b in built}
+                    assert len(orbit_dets) == 1
+                    dets |= orbit_dets
+            # The samples reach regular and singular blocks.
+            assert 0 in dets or not _unit_plus_square_one_blades(sig)
+            assert dets - {0}

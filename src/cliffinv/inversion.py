@@ -12,6 +12,12 @@ One chain per dimension suffices, and for three and four generators a
 second, independent chain produces the same scalar (`alternate_chain`,
 checked with `chain_scalar`).
 
+Each (signature, chain) pair is built once into an integer plan whose
+building proves the chain closed (`_plans`).  Its first runs interpret the
+plan's tables; once the pair is hot the whole chain, every step and the
+assembly of the inverse, runs as one generated straight-line function that
+returns D's numerator and the inverse's (`multivector._compile`).
+
 For up to four generators the discriminant also has an explicit polynomial
 in the coefficients (`discriminant_closed_form`), evaluated here exactly as
 a cross-check against the chain scalar.
@@ -33,7 +39,7 @@ from .involutions import (
     psi_delta,
     reversion_delta,
 )
-from .multivector import Multivector, _fold, _Plan
+from .multivector import Multivector, _fold, _Plan, _rows
 
 
 class InvolutionChain(_Frozen):
@@ -110,13 +116,13 @@ class InverseResult(_Frozen):
     def factors(self) -> tuple[Multivector, ...]:
         """f1(a1), ..., fm(am), each step's map applied to the element entering it."""
         a, chain = self._a, self._chain
-        entering, _, den = _run_chain(a, _plans(a.sig, chain)[0])
+        plan = _plans(a.sig, chain)
+        cur, den = a._int_dense()
         factors: list[Multivector] = []
-        step_den = den
-        for step, cur in zip(chain.steps, entering):
-            a_k = Multivector._from_ints(a.sig, enumerate(cur), step_den) if factors else a
-            factors.append(step(a_k))
-            step_den *= step_den
+        for step, table in zip(chain.steps, plan.steps):
+            factors.append(step(Multivector._from_ints(a.sig, enumerate(cur), den) if factors else a))
+            cur = _rows(table, plan.dim, cur, cur)
+            den *= den
         return tuple(factors)
 
     def __eq__(self, other: object) -> bool:
@@ -159,8 +165,8 @@ def alternate_chain(n: int) -> InvolutionChain:
 
 
 @lru_cache(maxsize=None)
-def _plans(sig: Signature, chain: InvolutionChain) -> tuple[tuple[_Plan, ...], tuple[_Plan, ...]]:
-    """Build a chain's step plans and assembly plan, proving each step lands in the next domain.
+def _plans(sig: Signature, chain: InvolutionChain) -> _Plan:
+    """Build a chain's plan, proving each step lands in the next domain.
 
     Step k folds a with itself: each pair i <= j of its domain blades
     combines to a_i a_j (e_i f(e_j) + e_j f(e_i)), weight s(i,i)*delta(i) on
@@ -171,12 +177,13 @@ def _plans(sig: Signature, chain: InvolutionChain) -> tuple[tuple[_Plan, ...], t
     first domain leaves out grades an input may carry, raises
     SubspaceViolation, whatever the input.
 
-    The assembly plan computes P * f1(a1) * ... * fm(am), one plan per
+    The factor tables compute P * f1(a1) * ... * fm(am), one table per
     factor.  Factor k carries only the blades j of step k's domain, and the
     running product P only the masks its earlier factors reach from the
     unit.  Row j of factor k lists (i, i^j, s(i,j)*delta_k(j)) for every
     such mask i, so folding a_k's numerators with P's gives the numerators
-    of P * f_k(a_k).
+    of P * f_k(a_k).  Once hot, the plan runs as one compiled kernel for
+    the whole chain (`multivector._compile`).
     """
     if chain.n != sig.n:
         raise DimensionMismatch(f"chain is for {chain.n} generators, element lives in {sig}")
@@ -209,26 +216,10 @@ def _plans(sig: Signature, chain: InvolutionChain) -> tuple[tuple[_Plan, ...], t
                 row.append((j, m, w))
             if row:
                 rows.append((i, tuple(row)))
-        steps.append(_Plan(tuple(rows), dim))
-        factor = tuple((j, tuple((i, i ^ j, signs[i * dim + j] * delta[j]) for i in support)) for j in blades)
-        factors.append(_Plan(factor, dim))
+        steps.append(tuple(rows))
+        factors.append(tuple((j, tuple((i, i ^ j, signs[i * dim + j] * delta[j]) for i in support)) for j in blades))
         support = sorted({i ^ j for i in support for j in blades})
-    return tuple(steps), tuple(factors)
-
-
-def _run_chain(a: Multivector, steps: tuple[_Plan, ...]) -> tuple[list[list[int]], int, int]:
-    """Run a chain's step plans on integer numerators: a = N / den with N integral.
-
-    Returns the numerators entering each step, indexed by mask (over
-    den**(2**(k-1)) at step k), the numerator of the final scalar (over
-    den**(2**steps)), and den.
-    """
-    cur, den = a._int_dense()
-    entering = []
-    for plan in steps:
-        entering.append(cur)
-        cur = _fold(plan, cur, cur)
-    return entering, cur[0], den
+    return _Plan(tuple(factors), dim, steps=tuple(steps))
 
 
 def compose_inverse(a: Multivector, chain: InvolutionChain) -> InverseResult:
@@ -239,24 +230,22 @@ def compose_inverse(a: Multivector, chain: InvolutionChain) -> InverseResult:
     SubspaceViolation if the chain can leave the grade sets it promises,
     which indicates a broken chain rather than a property of the input.
     """
-    steps, assembly = _plans(a.sig, chain)
-    entering, d_num, den = _run_chain(a, steps)
-    d = Fraction(d_num, den ** (1 << len(steps)))
-    if d_num == 0:
+    x, den = a._int_dense()
+    # a = N / den.  Step k's numerators sit over den**(2**(k-1)), so D's
+    # numerator d_num sits over den**(2**m), and the product of the factors
+    # over den**(2**m - 1).  a**-1 = (1/D) * f1 * ... * fm is then
+    # den * (factor numerators) / d_num: the assembly is seeded with den.
+    d_num, product = _fold(_plans(a.sig, chain), x, den)
+    d = Fraction(d_num, den ** (1 << len(chain.steps)))
+    if product is None:
         return InverseResult(d, None, _a=a, _chain=chain)
-    # a**-1 = (1/D) * f1 * ... * fm.  The k-th factor's numerators sit over
-    # den**(2**(k-1)), so the product sits over den**(2**m - 1), and with
-    # 1/D = den**(2**m) / d_num the inverse is den * (factor numerators) / d_num.
-    product = [0] * a.sig.dim
-    product[0] = den
-    for plan, cur in zip(assembly, entering):
-        product = _fold(plan, cur, product)
     return InverseResult(d, Multivector._from_ints(a.sig, enumerate(product), d_num), _a=a, _chain=chain)
 
 
 def chain_scalar(a: Multivector, chain: InvolutionChain) -> Fraction:
     """The chain's final scalar D, without building factors or the inverse."""
-    _, d_num, den = _run_chain(a, _plans(a.sig, chain)[0])
+    x, den = a._int_dense()
+    d_num, _ = _fold(_plans(a.sig, chain), x, 0)
     return Fraction(d_num, den ** (1 << len(chain.steps)))
 
 

@@ -13,7 +13,7 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm, log2
-from typing import Callable, Iterable, Iterator, Mapping, Union
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Union
 
 from .blades import BLADE_TEXT, MAX_GENERATORS, Blade, Signature, blade_from_text, blade_order, product_signs
 from .errors import GradeOutOfRange, SignatureMismatch
@@ -47,85 +47,99 @@ def _ratio_text(v: int, d: int) -> str:
     return str(v // g) if g == d else f"{v // g}/{d // g}"
 
 
-# A plan folds this many times through its rows before `_fold` compiles it.
+# A plan runs this many times on its tables before `_fold` compiles it.
 _HOT = 128
+
+# A table is a tuple of rows (i, ((j, m, w), ...)): folding coefficient
+# lists x and y through it adds w * x_i * y_j onto mask m for each listed j.
+_Table = tuple[tuple[int, tuple[tuple[int, int, int], ...]], ...]
+# What a plan runs on besides x, and what a run returns: a product plan
+# takes and returns lists, a chain plan takes a seed and returns (d, list or None).
+_Seed = Union[list[int], int]
+_Run = Union[list[int], tuple[int, Optional[list[int]]]]
 
 
 class _Plan:
-    """A bilinear map on coefficient lists indexed by mask, as integer rows.
+    """Integer tables run as one program: a product plan or a chain plan.
 
-    A row (i, ((j, m, w), ...)) adds w * x_i * y_j onto mask m for each
-    listed j.  `_fold` counts the plan's uses and, on the `_HOT`-th, stores
-    a compiled `kernel` that every later fold calls instead of the rows.
+    A product plan (no `steps`) is one table, and running it on (x, y)
+    returns x * y.  A chain plan runs on (x, seed): x folds with itself
+    through each step table in turn, and the last list's unit entry is the
+    numerator d of D.  When d and the seed are both nonzero, a running
+    product starts as the seed on the unit and folds, factor table by
+    factor table, with the list that entered the matching step; the run
+    returns (d, product), else (d, None).  `_fold` counts the plan's runs
+    and, on the `_HOT`-th, stores a compiled `kernel` that every later run
+    calls instead of the tables.
     """
 
-    __slots__ = ("rows", "dim", "uses", "kernel")
+    __slots__ = ("factors", "steps", "dim", "uses", "kernel")
 
-    def __init__(self, rows: tuple[tuple[int, tuple[tuple[int, int, int], ...]], ...], dim: int) -> None:
-        self.rows, self.dim, self.uses, self.kernel = rows, dim, 0, None
+    def __init__(self, factors: tuple[_Table, ...], dim: int, steps: Optional[tuple[_Table, ...]] = None) -> None:
+        self.factors, self.steps, self.dim, self.uses, self.kernel = factors, steps, dim, 0, None
 
 
-def _fold(plan: _Plan, x: list[int], y: list[int]) -> list[int]:
-    """Run one plan on integer coefficient lists of length plan.dim.
-
-    The one product kernel: `*` runs it on the full product plan
-    (`_product_plan`), the inversion chain on each step's plan and on its
-    assembly plan.  The first `_HOT` folds of a plan interpret its rows,
-    skipping rows whose x_i is zero; from then on the plan's compiled
-    kernel (`_compile`) computes the same list.
-    """
-    kernel = plan.kernel
-    if kernel is not None:
-        return kernel(x, y)
-    acc = [0] * plan.dim
-    for i, row in plan.rows:
+def _rows(table: _Table, dim: int, x: list[int], y: list[int]) -> list[int]:
+    """Fold x and y through one table, skipping the rows whose x_i is zero."""
+    acc = [0] * dim
+    for i, row in table:
         xi = x[i]
         if xi:
             for j, m, w in row:
                 acc[m] += w * xi * y[j]
-    plan.uses += 1
-    if plan.uses == _HOT:
-        plan.kernel = _compile(plan)
     return acc
 
 
-# Plan entries per compiled function.  Compiling holds about 1 KB per entry
-# until it returns, and that high-water mark stays in the process; a larger
-# plan is compiled in parts, and its kernel joins their lists.
-_PART = 256
+def _loop(plan: _Plan, x: list[int], y: _Seed) -> _Run:
+    """A plan's cold tier: its tables folded row by row."""
+    dim = plan.dim
+    if plan.steps is None:
+        (table,) = plan.factors
+        return _rows(table, dim, x, y)
+    entering = []
+    for table in plan.steps:
+        entering.append(x)
+        x = _rows(table, dim, x, x)
+    d = x[0]
+    if not d or not y:
+        return d, None
+    product = [0] * dim
+    product[0] = y
+    for table, a in zip(plan.factors, entering):
+        product = _rows(table, dim, a, product)
+    return d, product
 
 
-def _compile(plan: _Plan) -> Callable[[list[int], list[int]], list[int]]:
-    """A straight-line function of (x, y) that returns what folding the plan's rows returns.
+def _fold(plan: _Plan, x: list[int], y: _Seed) -> _Run:
+    """Run one plan: the library's one integer kernel, in two tiers.
 
-    Each part unpacks both lists into locals and returns one sum of
-    products per output mask of its run of masks, every plan entry
-    included: a weight's sign becomes the term's sign and a magnitude above
-    one its factor (`2*`).  The source is built from the plan's integers
-    only, one term a line, which keeps the code's position table small.
+    `*` runs the signature's product plan (`_product_plan`) on two
+    coefficient lists; `compose_inverse` runs a chain plan
+    (`inversion._plans`) on an element's numerators seeded with their
+    denominator, and `chain_scalar` seeds it with 0, which asks for D
+    alone.  The first `_HOT` runs of a plan interpret its tables (`_loop`);
+    the `_HOT`-th also compiles it (`_compile`), and from then on the
+    kernel computes the same values.
     """
-    sums: list[list[str]] = [[] for _ in range(plan.dim)]
-    for i, row in plan.rows:
-        for j, m, w in row:
-            mag = abs(w)
-            sums[m].append(f"{'-' if w < 0 else '+'} {'' if mag == 1 else f'{mag}*'}x{i}*y{j}")
-    parts: list[list[str]] = [[]]
-    size = 0
-    for terms in sums:
-        if parts[-1] and size + len(terms) > _PART:
-            parts.append([])
-            size = 0
-        parts[-1].append("\n".join(terms).lstrip("+ ") or "0")
-        size += len(terms)
-    unpack = "".join(f"    {''.join(f'{v}{k}, ' for k in range(plan.dim))}= {v}\n" for v in "xy")
-    namespace: dict = {}
-    for k, part in enumerate(parts):
-        exec(compile(f"def part{k}(x, y):\n{unpack}    return [{', '.join(part)}]\n", "<plan kernel>", "exec"), namespace)
-    if len(parts) == 1:
-        return namespace["part0"]
-    joined = " + ".join(f"part{k}(x, y)" for k in range(len(parts)))
-    exec(compile(f"def kernel(x, y):\n    return {joined}\n", "<plan kernel>", "exec"), namespace)
-    return namespace["kernel"]
+    kernel = plan.kernel
+    if kernel is not None:
+        return kernel(x, y)
+    plan.uses += 1
+    if plan.uses == _HOT:
+        plan.kernel = _compile(plan)
+    return _loop(plan, x, y)
+
+
+def _compile(plan: _Plan) -> Callable[[list[int], _Seed], _Run]:
+    """The plan's kernel: a straight-line function generated from its tables.
+
+    The generator (`codegen.compile_plan`) is imported on the first
+    compile, so a process that compiles nothing, such as one `cliffinv inv`,
+    does not pay for compiling its source.
+    """
+    from .codegen import compile_plan
+
+    return compile_plan(plan)
 
 
 @lru_cache(maxsize=None)
@@ -135,7 +149,7 @@ def _product_plan(sig: Signature) -> _Plan:
     dim = sig.dim
     cols = range(dim)
     return _Plan(
-        tuple((i, tuple(zip(cols, [i ^ j for j in cols], signs[i * dim : (i + 1) * dim]))) for i in cols), dim
+        (tuple((i, tuple(zip(cols, [i ^ j for j in cols], signs[i * dim : (i + 1) * dim]))) for i in cols),), dim
     )
 
 

@@ -436,6 +436,20 @@ class TestLazyImports:
 
 
 class TestBench:
+    def test_each_lane_runs_once_untimed_before_its_timed_calls(self, monkeypatch):
+        from cliffinv import bench
+
+        calls = []
+        monkeypatch.setattr(bench, "compose_inverse", lambda a, chain: calls.append(("formula", a)))
+        monkeypatch.setattr(bench, "oracle_inverse", lambda a: calls.append(("matrix", a)))
+        report = bench.run_bench(Signature(2, 3), samples=3, seed=0)
+        batch = [Multivector.random(Signature(2, 3), i, 10) for i in range(3)]
+        # One set-up call per lane on the first element, then one timed call per element.
+        assert calls == [("formula", batch[0]), ("matrix", batch[0])] + [
+            (lane, a) for lane in ("formula", "matrix") for a in batch
+        ]
+        assert [len(lane.seconds) for lane in report.lanes] == [3, 3]
+
     def test_reports_both_lanes(self, capsys):
         code, out, _ = run(capsys, "bench", "-p", "1", "-q", "1", "--samples", "5")
         assert code == 0

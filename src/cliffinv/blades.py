@@ -17,8 +17,8 @@ from typing import NamedTuple
 
 MAX_GENERATORS = 5
 
-# The digits of blade symbols and integer literals: ASCII only, since
-# str.isdigit() also accepts superscripts and other scripts' digits.
+# The digits of blade symbols, integer literals and JSON coefficient strings:
+# ASCII only, since str.isdigit() also accepts superscripts and other scripts' digits.
 DIGITS = "0123456789"
 
 Blade = int
@@ -164,34 +164,23 @@ def blade_from_text(text: str, n: int) -> Blade:
 
 
 @lru_cache(maxsize=None)
-def _reorder_parities(n: int) -> bytearray:
-    """Flat dim*dim table of transposition-count parities, row index a, column b."""
-    dim = 1 << n
-    par = bytearray(dim * dim)
-    for a in range(dim):
-        above = [(a >> (j + 1)).bit_count() & 1 for j in range(n)]
-        row = a * dim
-        for b in range(1, dim):
-            low = b & -b
-            par[row + b] = par[row + (b ^ low)] ^ above[low.bit_length() - 1]
-    return par
-
-
-@lru_cache(maxsize=None)
 def product_signs(sig: Signature) -> list[int]:
     """Flat dim*dim table of blade product signs for a signature.
 
     Entry [a*dim + b] equals blade_mul(a, b, sig).sign; the result mask is
     always a ^ b.  Built once per signature and shared.
+
+    The sign is one factor per generator e_k of b: moving e_k into a passes
+    the generators of a above k, and squares it when a holds it.  Neither
+    depends on b's other generators, so row a starts as [1] and doubles once
+    per k, the upper half negated when that factor is -1.
     """
-    dim = sig.dim
-    par = _reorder_parities(sig.n)
-    neg = sig.neg_mask
-    metric = [(m & neg).bit_count() & 1 for m in range(dim)]
-    table = [0] * (dim * dim)
-    i = 0
-    for a in range(dim):
-        for b in range(dim):
-            table[i] = -1 if par[i] ^ metric[a & b] else 1
-            i += 1
+    n, neg = sig.n, sig.neg_mask
+    table = []
+    for a in range(sig.dim):
+        row = [1]
+        for k in range(n):
+            flip = ((a >> (k + 1)).bit_count() + ((a & neg) >> k)) & 1
+            row += [-s for s in row] if flip else row
+        table += row
     return table

@@ -15,7 +15,7 @@ from functools import lru_cache
 from math import gcd, lcm, log2
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Union
 
-from .blades import BLADE_TEXT, MAX_GENERATORS, Blade, Signature, blade_from_text, blade_order, product_signs
+from .blades import BLADE_TEXT, DIGITS, MAX_GENERATORS, Blade, Signature, blade_from_text, blade_order, product_signs
 from .errors import GradeOutOfRange, SignatureMismatch
 
 Scalar = Union[int, Fraction]
@@ -434,6 +434,9 @@ class Multivector:
                     f"malformed multivector JSON: coefficient of {key} must be a number or a rational string"
                 )
             text = str(value)
+            if any(ch.isdecimal() and ch not in DIGITS for ch in text):
+                # Fraction reads other scripts' digits too: '٣/٤' would be 3/4.
+                raise ValueError(f"malformed multivector JSON: coefficient of {key} is not a finite rational: {text!r}")
             if m := _EXPONENT.search(text):
                 # Fraction would expand 10^|e| in full; refuse before it does.
                 digits = m.group(1).lstrip("+-").replace("_", "").lstrip("0")

@@ -205,6 +205,15 @@ class TestInv:
         assert (code, out) == (1, "")
         assert err == f"cliffinv: invalid blade symbol {key!r}\n"
 
+    @pytest.mark.parametrize("text", ["١", "٣/٤"])
+    def test_file_coefficient_only_ascii_digits(self, capsys, tmp_path, text):
+        # Fraction reads these as 1 and 3/4.
+        path = tmp_path / "mv.json"
+        path.write_text(json.dumps({"p": 1, "q": 0, "coeffs": {"1": text, "e1": "1"}}))
+        code, out, err = run(capsys, "inv", "--file", str(path))
+        assert (code, out) == (1, "")
+        assert err == f"cliffinv: malformed multivector JSON: coefficient of 1 is not a finite rational: {text!r}\n"
+
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_result_beyond_int_str_limit_prints(self, capsys, fmt):
         # 10^5000 has 5001 digits, past Python's default 4300-digit limit on
@@ -383,6 +392,17 @@ class TestVerify:
 
     def test_zero_samples_exit_one(self, capsys):
         assert run(capsys, "verify", "-p", "0", "-q", "1", "--samples", "0")[0] == 1
+
+    def test_no_signature_runs_all_21(self, capsys):
+        code, out, err = run(capsys, "verify", "--samples", "1")
+        assert (code, err) == (0, "")
+        *checks, last = out.splitlines()
+        assert len(checks) == 65 and all(line.endswith(": ok") for line in checks)
+        assert last == "all checks passed"
+        code, out, err = run(capsys, "verify", "--samples", "1", "--json")
+        assert (code, err) == (0, "")
+        assert '"passed": true' in out
+        assert len(json.loads(out)["checks"]) == 65
 
 
 class TestLazyImports:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from fractions import Fraction
 from typing import Iterator
 
@@ -41,9 +41,17 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _int(text: str) -> int:
+    """An integer flag value: int(text) for ASCII text only (int() also reads '١' as 1)."""
+    if text.isascii():
+        with suppress(ValueError):
+            return int(text)
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+
+
 def _add_signature_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("-p", type=int, default=None, help="generators squaring to -1")
-    sub.add_argument("-q", type=int, default=None, help="generators squaring to +1")
+    sub.add_argument("-p", type=_int, default=None, help="generators squaring to -1")
+    sub.add_argument("-q", type=_int, default=None, help="generators squaring to +1")
 
 
 def _add_input_flags(sub: argparse.ArgumentParser) -> None:
@@ -54,9 +62,9 @@ def _add_input_flags(sub: argparse.ArgumentParser) -> None:
 
 def _add_batch_flags(sub: argparse.ArgumentParser, samples: int) -> None:
     _add_signature_flags(sub)
-    sub.add_argument("--samples", type=int, default=samples)
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--bound", type=int, default=10)
+    sub.add_argument("--samples", type=_int, default=samples)
+    sub.add_argument("--seed", type=_int, default=0)
+    sub.add_argument("--bound", type=_int, default=10)
     sub.add_argument("--json", action="store_true")
 
 
@@ -94,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input_flags(mp)
 
     ds = subs.add_parser("delta-search", help="enumerate grade-sign maps that reverse products on a grade set")
-    ds.add_argument("-n", type=int, required=True, help=f"number of generators (0..{MAX_GENERATORS})")
+    ds.add_argument("-n", type=_int, required=True, help=f"number of generators (0..{MAX_GENERATORS})")
     ds.add_argument("-I", dest="grades", required=True, help="comma-separated grade set, e.g. 0,1,4")
     ds.add_argument("--json", action="store_true")
 
@@ -207,8 +215,8 @@ def _cmd_delta_search(args: argparse.Namespace) -> int:
     if not 0 <= args.n <= MAX_GENERATORS:
         raise ValueError(f"-n must be in 0..{MAX_GENERATORS}, got {args.n}")
     try:
-        grades = sorted({int(g) for g in args.grades.split(",") if g != ""})
-    except ValueError as exc:
+        grades = sorted({_int(g) for g in args.grades.split(",") if g != ""})
+    except argparse.ArgumentTypeError as exc:
         raise ValueError(f"bad grade set {args.grades!r}") from exc
     solutions = delta_solutions(grades, args.n)
     if args.json:

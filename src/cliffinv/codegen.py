@@ -1,4 +1,4 @@
-"""Straight-line kernels generated from the integer plans of `multivector`.
+"""One straight-line kernel function per integer plan of `multivector`.
 
 `multivector._fold` runs a plan's tables on a row loop for its first runs
 and then calls the function built here.  This module is imported on the
@@ -13,29 +13,22 @@ from typing import TYPE_CHECKING, Callable
 if TYPE_CHECKING:
     from .multivector import _Plan, _Run, _Seed, _Table
 
-# Table entries per compiled part.  Compiling holds about 1.5 KB per entry
-# until it returns, and that high-water mark stays in the process; a larger
-# plan is compiled in parts, which its kernel calls in turn.
-PART = 256
-
 
 def compile_plan(plan: _Plan) -> Callable[[list[int], _Seed], _Run]:
     """A straight-line function of (x, y) that returns what `multivector._loop` returns.
 
-    Each fold becomes one sum of products per mask it can reach from the
-    masks its operands can be nonzero on, so a chain kernel carries only
-    the masks its proven tables reach.  A weight's sign becomes its term's
-    sign, and terms of one weight magnitude share one factor:
-    `2*(x1*x6 - x2*x5 + ...)`.  A chain kernel returns (d, None) as soon as
-    d or the seed is known to be zero.  The sums are compiled in runs of at
-    most `PART` entries, none spanning that check: each run is a function
-    that unpacks the argument lists it reads, takes the other values it
-    reads one by one and returns the values it computes, and the kernel
-    calls the runs in turn.  The source is built from the tables' integers
-    only, one term a line, which keeps the code's position table small.
+    The function unpacks x (and y) into locals once and has one statement
+    per sum: per mask that a fold can reach from the masks its operands can
+    be nonzero on.  A weight's sign becomes its term's sign, and terms of
+    one weight magnitude share one factor, `2*(x1*x6 - x2*x5 + ...)`.  A
+    chain kernel returns (d, None) right after its last step when d or the
+    seed is zero.  The source holds the tables' integers only, one term a
+    line.  `MAX_GENERATORS` bounds the function: the largest plan, the
+    five-generator product plan, has 1024 entries.
     """
     dim = plan.dim
-    sums: list[tuple[str, str, tuple[str, ...], int]] = []  # (local, source, names read, entries)
+    xs = {m: f"x{m}" for m in range(dim)}
+    body = [f"{', '.join(xs.values())}, = x"]
 
     def fold(table: _Table, xs: dict[int, str], ys: dict[int, str]) -> dict[int, str]:
         terms: dict[int, list[tuple[int, str, str]]] = {}
@@ -46,50 +39,29 @@ def compile_plan(plan: _Plan) -> Callable[[list[int], _Seed], _Run]:
                         terms.setdefault(m, []).append((w, xs[i], ys[j]))
         out = {}
         for m, t in sorted(terms.items()):
-            out[m] = f"v{len(sums)}"
-            sums.append((out[m], _sum(t), tuple(dict.fromkeys(v for _, a, b in t for v in (a, b))), len(t)))
+            out[m] = f"v{len(body)}"
+            body.append(f"{out[m]} = ({_sum(t)})")
         return out
 
-    # The argument lists, each unpacked into locals by the runs that read them.
-    lists = {"x": {m: f"x{m}" for m in range(dim)}}
-    check = d = None
     if plan.steps is None:
-        lists["y"] = {m: f"y{m}" for m in range(dim)}
-        ys = fold(plan.factors[0], lists["x"], lists["y"])
+        ys = {m: f"y{m}" for m in range(dim)}
+        body.append(f"{', '.join(ys.values())}, = y")
+        result = fold(plan.factors[0], xs, ys)
+        ret = "return "
     else:
-        xs, entering = lists["x"], []
+        entering = []
         for table in plan.steps:
             entering.append(xs)
             xs = fold(table, xs, xs)
         # D's numerator: the unit sum of the last step, or x's unit entry when there are no steps.
-        d, check = xs.get(0, "0") if plan.steps else "x[0]", len(sums)
-        ys = {0: "y"}
+        d = xs.get(0, "0")
+        body += [f"if not {d} or not y:", f"    return {d}, None"]
+        result = {0: "y"}
         for table, a in zip(plan.factors, entering):
-            ys = fold(table, a, ys)
-    source = {name: v for v, names in lists.items() for name in names.values()}
-
+            result = fold(table, a, result)
+        ret = f"return {d}, "
+    body.append(f"{ret}[{', '.join(result.get(m, '0') for m in range(dim))}]")
     namespace: dict = {}
-    body: list[str] = []
-    run: list[tuple[str, str, tuple[str, ...], int]] = []
-    for k, entry in enumerate([*sums, None]):
-        if run and (entry is None or k == check or sum(e[3] for e in run) + entry[3] > PART):
-            names = [e[0] for e in run]
-            params = list(dict.fromkeys(source.get(v, v) for e in run for v in e[2] if v not in names))
-            lines = [f"def part{k}({', '.join(params)}):"]
-            lines += [f"    {', '.join(lists[v].values())}, = {v}" for v in params if v in lists]
-            # A sum no later sum of the run reads goes straight into the returned tuple.
-            read = {v for e in run for v in e[2]}
-            lines += [f"    {name} = ({src})" for name, src, _, _ in run if name in read]
-            returned = ", ".join(name if name in read else f"({src})" for name, src, _, _ in run)
-            exec(compile("\n".join(lines) + f"\n    return {returned},\n", "<plan kernel>", "exec"), namespace)
-            body.append(f"{', '.join(names)}, = part{k}({', '.join(params)})")
-            run = []
-        if k == check:
-            body += [f"if not {d} or not y:", f"    return {d}, None"]
-        if entry:
-            run.append(entry)
-    result = f"[{', '.join(ys.get(m, '0') for m in range(dim))}]"
-    body.append(f"return {result}" if check is None else f"return {d}, {result}")
     exec(compile("def kernel(x, y):\n" + "".join(f"    {line}\n" for line in body), "<plan kernel>", "exec"), namespace)
     return namespace["kernel"]
 

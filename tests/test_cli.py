@@ -197,6 +197,31 @@ class TestInv:
         code, out, err = run(capsys, "inv", "-p", "1", "-q", "0", expr)
         assert (code, out, err) == (1, "", f"cliffinv: {message}\n")
 
+    @pytest.mark.parametrize(
+        "argv, flag, value",
+        [
+            (["inv", "-p", "١", "-q", "٠", "2+e1"], "-p", "١"),
+            (["inv", "-p", "1", "-q", "٠", "2+e1"], "-q", "٠"),
+            (["inv", "-p", "x", "-q", "0", "2+e1"], "-p", "x"),
+            (["delta-search", "-n", "٣", "-I", "0,1"], "-n", "٣"),
+            (["verify", "-p", "0", "-q", "1", "--samples", "٢"], "--samples", "٢"),
+            (["verify", "-p", "0", "-q", "1", "--seed", "١"], "--seed", "١"),
+            (["bench", "-p", "0", "-q", "1", "--bound", "٣"], "--bound", "٣"),
+        ],
+        ids=["p", "q", "ascii-letter", "n", "samples", "seed", "bound"],
+    )
+    def test_integer_flags_only_ascii_digits(self, capsys, argv, flag, value):
+        # int() reads other scripts' digits ('١' is 1); the flags refuse them as argparse refuses 'x'.
+        code, out, err = run(capsys, *argv)
+        lines = err.splitlines()
+        assert (code, out) == (1, "")
+        # The usage, which wraps for verify and bench, then the error.
+        assert lines[0].startswith(f"usage: cliffinv {argv[0]} ")
+        assert lines[-1] == f"cliffinv {argv[0]}: error: argument {flag}: invalid int value: {value!r}"
+
+    def test_integer_flags_read_ascii_as_int_does(self, capsys):
+        assert run(capsys, "inv", "-p", " 1", "-q", "+0", "2+e1") == run(capsys, "inv", "-p", "1", "-q", "0", "2+e1")
+
     @pytest.mark.parametrize("key", ["e١", "e²"])
     def test_file_blade_key_only_ascii_digits(self, capsys, tmp_path, key):
         path = tmp_path / "mv.json"
@@ -334,6 +359,10 @@ class TestDeltaSearch:
     def test_bad_grades_exit_one(self, capsys):
         assert run(capsys, "delta-search", "-n", "3", "-I", "0,x")[0] == 1
         assert run(capsys, "delta-search", "-n", "3", "-I", "0,7")[0] == 1
+
+    def test_grade_set_only_ascii_digits(self, capsys):
+        code, out, err = run(capsys, "delta-search", "-n", "3", "-I", "٠,١")
+        assert (code, out, err) == (1, "", "cliffinv: bad grade set '٠,١'\n")
 
 
 class TestGeneratorLimit:

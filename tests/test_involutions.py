@@ -64,6 +64,8 @@ class TestLengthDeltaMap:
         f = LengthDeltaMap([1, -1, -1])
         assert f == conjugation_delta(2)
         assert f.to_json_list() == [1, -1, -1]
+        # A map equals only a map, not the tuple of its signs.
+        assert (LengthDeltaMap([1, -1]) == (1, -1)) is False
 
     def test_apply_scales_each_grade(self):
         sig = Signature(0, 3)

@@ -81,8 +81,22 @@ class TestAddition:
             assert a * b == a * b_shared
             assert b * a == b_shared * a
 
+    @pytest.mark.parametrize(
+        "op", [lambda a: a + 1, lambda a: 1 - a, lambda a: a - 1], ids=["a + 1", "1 - a", "a - 1"]
+    )
+    def test_a_bare_number_does_not_combine(self, op):
+        # A number joins a sum as `Multivector.scalar(sig, c)`, never implicitly.
+        with pytest.raises(TypeError):
+            op(rnd(S02, 1))
+
 
 class TestProduct:
+    @pytest.mark.parametrize("op", [lambda a: a * 0.5, lambda a: 0.5 * a], ids=["a * 0.5", "0.5 * a"])
+    def test_a_float_does_not_scale(self, op):
+        # No float enters an exact coefficient; `a * Fraction(1, 2)` does.
+        with pytest.raises(TypeError):
+            op(rnd(S02, 1))
+
     def test_conjugate_pair_collapses_to_scalar(self):
         rng = random.Random(0)
         for _ in range(30):

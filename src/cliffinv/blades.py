@@ -12,7 +12,8 @@ generator the operands share.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from operator import attrgetter
 from typing import NamedTuple
 
 MAX_GENERATORS = 5
@@ -25,9 +26,13 @@ Blade = int
 
 
 class _Frozen:
-    """Base of the immutable value classes: __init__ fills __dict__, nothing writes it later."""
+    """Base of the immutable value classes: __init__ fills __dict__, nothing writes it later.
+
+    repr shows the `_fields`; == and hash compare their values (a tuple, or a lone field's value),
+    which with its hash is cached in __dict__ on first use, as lru_cache hits compare them again."""
 
     __slots__ = ()
+    _fields: tuple[str, ...] = ()
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -35,11 +40,31 @@ class _Frozen:
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
 
+    @cached_property
+    def _values(self) -> object:
+        return attrgetter(*self._fields)(self)
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash(self._values)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values == other._values
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
 
 class Signature(_Frozen):
     """Metric signature (p, q): generators 1..p square to -1, p+1..p+q to +1."""
 
-    __match_args__ = ("p", "q")
+    __match_args__ = _fields = ("p", "q")
     p: int
     q: int
 
@@ -49,17 +74,6 @@ class Signature(_Frozen):
         if p + q > MAX_GENERATORS:
             raise ValueError(f"at most {MAX_GENERATORS} generators are supported, got p+q={p + q}")
         self.__dict__.update(p=p, q=q)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.p, self.q) == (other.p, other.q)
-
-    def __hash__(self) -> int:
-        return hash((self.p, self.q))
-
-    def __repr__(self) -> str:
-        return f"{type(self).__qualname__}(p={self.p!r}, q={self.q!r})"
 
     @property
     def n(self) -> int:

@@ -52,6 +52,7 @@ class InvolutionChain(_Frozen):
     """
 
     __match_args__ = ("n", "steps")
+    _fields = ("n", "steps", "domains")
     n: int
     steps: tuple[LengthDeltaMap, ...]
     domains: tuple[GradeSet, ...]
@@ -73,22 +74,6 @@ class InvolutionChain(_Frozen):
             raise ValueError(f"chain must end on the scalars, ended on grades {sorted(running)}")
         self.__dict__.update(n=n, steps=steps, domains=tuple(domains))
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.n, self.steps, self.domains) == (other.n, other.steps, other.domains)
-
-    @cached_property
-    def _hash(self) -> int:
-        return hash((self.n, self.steps, self.domains))
-
-    def __hash__(self) -> int:
-        # Kept after the first call: each compose_inverse looks the chain up in the plan cache.
-        return self._hash
-
-    def __repr__(self) -> str:
-        return f"{type(self).__qualname__}(n={self.n!r}, steps={self.steps!r}, domains={self.domains!r})"
-
 
 class InverseResult(_Frozen):
     """Outcome of a chain run: the scalar D, the factor list, and the inverse.
@@ -100,7 +85,7 @@ class InverseResult(_Frozen):
     Results compare and hash by (discriminant, factors, inverse).
     """
 
-    __match_args__ = ("discriminant", "inverse")
+    __match_args__ = _fields = ("discriminant", "inverse")
     discriminant: Fraction
     inverse: Optional[Multivector]
 
@@ -108,9 +93,6 @@ class InverseResult(_Frozen):
         self, discriminant: Fraction, inverse: Optional[Multivector], *, _a: Multivector, _chain: InvolutionChain
     ) -> None:
         self.__dict__.update(discriminant=discriminant, inverse=inverse, _a=_a, _chain=_chain)
-
-    def __repr__(self) -> str:
-        return f"{type(self).__qualname__}(discriminant={self.discriminant!r}, inverse={self.inverse!r})"
 
     @cached_property
     def factors(self) -> tuple[Multivector, ...]:

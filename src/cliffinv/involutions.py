@@ -21,17 +21,18 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .blades import MAX_GENERATORS
+from .blades import MAX_GENERATORS, _Frozen
 from .errors import DimensionMismatch
 from .multivector import Multivector
 
 GradeSet = frozenset[int]
 
 
-class LengthDeltaMap:
+class LengthDeltaMap(_Frozen):
     """A grade-diagonal sign map: blades of grade k are scaled by delta[k]."""
 
-    __slots__ = ("delta",)
+    _fields = ("delta",)
+    delta: tuple[int, ...]
 
     def __init__(self, delta: Sequence[int]):
         table = tuple(delta)
@@ -41,7 +42,7 @@ class LengthDeltaMap:
             raise ValueError("delta[0] must be +1 (scalars are always fixed)")
         if len(table) > MAX_GENERATORS + 1:
             raise ValueError(f"delta tables cover grades 0..{MAX_GENERATORS} at most")
-        self.delta = table
+        self.__dict__["delta"] = table
 
     @property
     def n(self) -> int:
@@ -49,14 +50,6 @@ class LengthDeltaMap:
 
     def __call__(self, a: Multivector) -> Multivector:
         return apply_delta(self, a)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, LengthDeltaMap):
-            return NotImplemented
-        return self.delta == other.delta
-
-    def __hash__(self) -> int:
-        return hash(self.delta)
 
     def __repr__(self) -> str:
         return f"LengthDeltaMap({list(self.delta)})"

@@ -41,6 +41,13 @@ _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
 _RANK = tuple(map(blade_order(MAX_GENERATORS).index, range(1 << MAX_GENERATORS)))
 
 
+def _fraction(value: Scalar) -> Fraction:
+    """An exact coefficient as a Fraction; a float is refused, its value is binary (0.1 is 3602879701896397/2**55)."""
+    if isinstance(value, float):
+        raise TypeError(f"float {value!r} is not an exact coefficient; pass an int or a Fraction")
+    return Fraction(value)
+
+
 def _ratio_text(v: int, d: int) -> str:
     """v/d in lowest terms (d > 0), printed as `str(Fraction(v, d))` prints it."""
     g = gcd(v, d)
@@ -166,7 +173,7 @@ class Multivector:
             if not 0 <= mask < dim:
                 raise ValueError(f"blade mask {mask} outside the {sig} basis")
             if type(value) is not int:
-                f = value if isinstance(value, Fraction) else Fraction(value)
+                f = value if isinstance(value, Fraction) else _fraction(value)
                 value = f.numerator
                 if f.denominator != 1:
                     dens[mask] = f.denominator
@@ -339,7 +346,7 @@ class Multivector:
         return NotImplemented
 
     def scale(self, factor: Scalar) -> "Multivector":
-        f = Fraction(factor)
+        f = _fraction(factor)
         num = f.numerator
         return Multivector._from_ints(self.sig, ((m, v * num) for m, v in self._n.items()), self._d * f.denominator)
 

@@ -55,24 +55,26 @@ is used to verify, beyond the blade sign table: the table is built from
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 from operator import itemgetter
 from typing import Callable, NamedTuple, Optional
 
-from .blades import Signature, blade_order, product_signs
+from .blades import Signature, _Frozen, blade_order, product_signs
 from .multivector import Multivector
 
 
-@dataclass(frozen=True)
-class RegularMatrix:
+class RegularMatrix(_Frozen):
     """Dense matrix of left multiplication on the (grade, mask)-ordered basis."""
 
+    __match_args__ = _fields = ("dim", "entries", "basis")
     dim: int
     entries: tuple[tuple[Fraction, ...], ...]  # row-major
     basis: tuple[int, ...]
+
+    def __init__(self, dim: int, entries: tuple[tuple[Fraction, ...], ...], basis: tuple[int, ...]) -> None:
+        self.__dict__.update(dim=dim, entries=entries, basis=basis)
 
     def column(self, j: int) -> tuple[Fraction, ...]:
         return tuple(row[j] for row in self.entries)

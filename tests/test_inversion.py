@@ -198,6 +198,8 @@ class TestClosureRule:
 
     @pytest.mark.parametrize("n", range(6))
     def test_every_solver_chain_is_refused_or_compiles(self, n):
+        # An accepted chain of m steps gives D^(2^(m - m_min)), the default chain's D squared once per extra step.
+        m_min = len(default_chain(n).steps)
         accepted = 0
         for steps, domains in _solver_chains(n):
             try:
@@ -206,6 +208,8 @@ class TestClosureRule:
                 continue
             accepted += 1
             assert chain.domains == domains
+            m = len(steps)
+            assert m >= m_min
             for p in range(n + 1):
                 sig = Signature(p, n - p)
                 a = rnd(sig, 7 * accepted + p, 3)
@@ -214,6 +218,10 @@ class TestClosureRule:
                 for f in result.factors:
                     prod = prod * f
                 assert prod == Multivector.scalar(sig, result.discriminant)
+                d = discriminant(a)
+                assert result.discriminant == d ** (1 << (m - m_min))
+                if d:
+                    assert result.inverse == inverse(a)
         assert accepted >= 1
 
     def test_chain_stepping_off_the_reached_grades_is_refused(self):

@@ -91,7 +91,18 @@ class TestAddition:
 
 
 class TestProduct:
-    @pytest.mark.parametrize("op", [lambda a: a * 0.5, lambda a: 0.5 * a], ids=["a * 0.5", "0.5 * a"])
+    @pytest.mark.parametrize(
+        "op",
+        [
+            lambda a: a * 0.5,
+            lambda a: 0.5 * a,
+            lambda a: a.scale(0.5),
+            lambda a: Multivector(a.sig, {0: 0.1}),
+            lambda a: Multivector.scalar(a.sig, 0.5),
+            lambda a: Multivector.blade(a.sig, 1, 0.5),
+        ],
+        ids=["a * 0.5", "0.5 * a", "a.scale(0.5)", "Multivector(sig, {0: 0.1})", "scalar(sig, 0.5)", "blade(sig, 1, 0.5)"],
+    )
     def test_a_float_does_not_scale(self, op):
         # No float enters an exact coefficient; `a * Fraction(1, 2)` does.
         with pytest.raises(TypeError):

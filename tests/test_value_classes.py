@@ -1,9 +1,13 @@
-"""Signature, InvolutionChain and InverseResult: immutable values with a fixed text form.
+"""Signature, InvolutionChain, InverseResult, LengthDeltaMap and RegularMatrix: immutable values.
 
-The three are plain classes; the literals below were recorded from their
-earlier frozen-dataclass versions, so these tests pin that nothing a caller
-can see changed with them: repr and str, equality and hash, the messages
-for writes and bad signatures, and copies and pickles.
+The five are plain classes on one frozen base, `blades._Frozen`.  The
+literals below were recorded from their earlier versions (frozen
+dataclasses, and a slotted class for LengthDeltaMap), so these tests pin
+that nothing a caller can see changed with them: repr and str, equality and
+hash, the messages for writes and bad signatures, and copies and pickles.
+Two things did change: a LengthDeltaMap, once writable, refuses writes, and
+RegularMatrix raises AttributeError where it raised its dataclass subclass
+FrozenInstanceError.
 """
 
 import copy
@@ -12,16 +16,32 @@ from fractions import Fraction
 
 import pytest
 
-from cliffinv import InverseResult, InvolutionChain, Signature, compose_inverse, default_chain, parse_expression
+from cliffinv import (
+    InverseResult,
+    InvolutionChain,
+    LengthDeltaMap,
+    RegularMatrix,
+    Signature,
+    compose_inverse,
+    default_chain,
+    parse_expression,
+    regular_matrix,
+    reversion_delta,
+)
 
 SIG = Signature(2, 3)
 CHAIN = default_chain(5)
 ELEMENT = parse_expression("3/2*e12 - 5/4*e345 + e5 - 7/3", SIG)
+DELTA = LengthDeltaMap([1, -1])
+MATRIX = regular_matrix(parse_expression("2 - 1/2*e1", Signature(1, 0)))
 
 CHAIN_REPR = (
     "InvolutionChain(n=5, steps=(LengthDeltaMap([1, 1, -1, -1, 1, 1]), LengthDeltaMap([1, -1, -1, -1, -1, 1]), "
     "LengthDeltaMap([1, -1, -1, 1, 1, -1])), domains=(frozenset({0, 1, 2, 3, 4, 5}), frozenset({0, 1, 4, 5}), "
     "frozenset({0, 5})))"
+)
+MATRIX_REPR = (
+    "RegularMatrix(dim=2, entries=((Fraction(2, 1), Fraction(1, 2)), (Fraction(-1, 2), Fraction(2, 1))), basis=(0, 1))"
 )
 RESULT_REPR = (
     "InverseResult(discriminant=Fraction(1542108761425, 429981696), inverse=Multivector(Cl(2,3), "
@@ -46,6 +66,12 @@ class TestText:
     def test_result(self):
         assert repr(result()) == str(result()) == RESULT_REPR
 
+    def test_length_delta_map(self):
+        assert repr(DELTA) == str(DELTA) == "LengthDeltaMap([1, -1])"
+
+    def test_regular_matrix(self):
+        assert repr(MATRIX) == str(MATRIX) == MATRIX_REPR
+
 
 class TestEqualityAndHash:
     def test_signature(self):
@@ -65,6 +91,19 @@ class TestEqualityAndHash:
         assert one == two and one.__eq__(SIG) is NotImplemented
         assert one.discriminant == Fraction(1542108761425, 429981696)
         assert hash(one) == hash(two) == hash((one.discriminant, one.factors, one.inverse))
+
+    def test_length_delta_map(self):
+        assert DELTA == LengthDeltaMap((1, -1)) and DELTA != LengthDeltaMap([1, 1])
+        assert DELTA != (1, -1) and DELTA.__eq__((1, -1)) is NotImplemented
+        assert hash(DELTA) == hash((1, -1))
+
+    def test_regular_matrix(self):
+        rebuilt = RegularMatrix(MATRIX.dim, MATRIX.entries, MATRIX.basis)
+        assert rebuilt == MATRIX and rebuilt is not MATRIX
+        assert MATRIX != regular_matrix(parse_expression("2", Signature(1, 0))) and MATRIX.__eq__(SIG) is NotImplemented
+        assert hash(MATRIX) == hash((2, ((Fraction(2), Fraction(1, 2)), (Fraction(-1, 2), Fraction(2))), (0, 1)))
+        assert RegularMatrix.__match_args__ == ("dim", "entries", "basis")
+        assert MATRIX.column(1) == (Fraction(1, 2), Fraction(2))
 
 
 class TestConstruction:
@@ -88,11 +127,14 @@ class TestConstruction:
         assert rebuilt == r and "factors" in vars(rebuilt)
 
 
+# reversion_delta(3) is shared through its lru_cache: a write to it would break default_chain(3) for good.
 @pytest.mark.parametrize(
     "obj, field",
-    [(SIG, "p"), (SIG, "q"), (CHAIN, "n"), (CHAIN, "domains"), (result(), "discriminant"), (result(), "_a")],
+    [(SIG, "p"), (SIG, "q"), (CHAIN, "n"), (CHAIN, "domains"), (result(), "discriminant"), (result(), "_a"),
+     (reversion_delta(3), "delta"), (MATRIX, "dim"), (MATRIX, "entries")],
     ids=["Signature.p", "Signature.q", "InvolutionChain.n", "InvolutionChain.domains",
-         "InverseResult.discriminant", "InverseResult._a"],
+         "InverseResult.discriminant", "InverseResult._a",
+         "LengthDeltaMap.delta", "RegularMatrix.dim", "RegularMatrix.entries"],
 )
 def test_fields_cannot_be_assigned_or_deleted(obj, field):
     before = getattr(obj, field)
@@ -103,13 +145,16 @@ def test_fields_cannot_be_assigned_or_deleted(obj, field):
     assert getattr(obj, field) is before
 
 
-# From protocol 2: 0 and 1 cannot pickle the slotted LengthDeltaMap and Multivector inside.
+# From protocol 2: 0 and 1 cannot pickle the slotted Multivector inside an InverseResult.
 @pytest.mark.parametrize(
-    "make", [lambda: SIG, lambda: CHAIN, result], ids=["Signature", "InvolutionChain", "InverseResult"]
+    "make",
+    [lambda: SIG, lambda: CHAIN, result, lambda: DELTA, lambda: MATRIX],
+    ids=["Signature", "InvolutionChain", "InverseResult", "LengthDeltaMap", "RegularMatrix"],
 )
 @pytest.mark.parametrize("protocol", range(2, pickle.HIGHEST_PROTOCOL + 1))
 def test_copies_and_pickles_compare_equal(make, protocol):
+    # The hash is kept in __dict__ after its first use, so each copy carries it.
     obj = make()
-    assert copy.copy(obj) == obj
-    assert copy.deepcopy(obj) == obj
-    assert pickle.loads(pickle.dumps(obj, protocol)) == obj
+    h = hash(obj)
+    for twin in (copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj, protocol))):
+        assert twin == obj and hash(twin) == h

@@ -87,6 +87,62 @@ ROWS: tuple[tuple[str, str, str, str, tuple[str, ...]], ...] = (
         "row += row",
         SIGN_TABLE,
     ),
+    (
+        "closed-form-3-cross-term-halved",
+        "src/cliffinv/inversion.py",
+        "4 * cross**2",
+        "2 * cross**2",
+        ("tests/test_inversion.py",),
+    ),
+    (
+        "closed-form-4-pair-term-halved",
+        "src/cliffinv/inversion.py",
+        "return 4 * (t1**2 + t2**2)",
+        "return 2 * (t1**2 + t2**2)",
+        ("tests/test_inversion.py",),
+    ),
+    (
+        "oracle-back-substitution-sign",
+        "src/cliffinv/oracle.py",
+        "s -= ri[j] * y[j]",
+        "s += ri[j] * y[j]",
+        ("tests/test_oracle.py",),
+    ),
+    (
+        "parser-negated-literal-unsigned",
+        "src/cliffinv/parsing.py",
+        "(-num, den)",
+        "(num, den)",
+        ("tests/test_parsing.py",),
+    ),
+    (
+        "term-gcd-skipped",
+        "src/cliffinv/multivector.py",
+        "g = gcd(num, den)",
+        "g = 1",
+        ("tests/test_multivector.py",),
+    ),
+    (
+        "delta-constraint-sign-swapped",
+        "src/cliffinv/involutions.py",
+        "return -1 if (self.k * self.l - self.s) & 1 else 1",
+        "return 1 if (self.k * self.l - self.s) & 1 else -1",
+        ("tests/test_involutions.py",),
+    ),
+    (
+        "verify-zero-divisors-dropped",
+        "src/cliffinv/verify.py",
+        "elements += [(None, Multivector(sig, {0: 1, b: 1})) for b in zero_divisors]",
+        "pass",
+        ("tests/test_verify.py",),
+    ),
+    (
+        "frozen-fields-assignable",
+        "src/cliffinv/blades.py",
+        'raise AttributeError(f"cannot assign to field {name!r}")',
+        "self.__dict__[name] = value",
+        ("tests/test_value_classes.py",),
+    ),
 )
 
 

@@ -34,9 +34,9 @@ def compile_plan(plan: _Plan) -> Callable[[list[int], _Seed], _Run]:
         terms: dict[int, list[tuple[int, str, str]]] = {}
         for i, row in table:
             if i in xs:
-                for j, m, w in row:
+                for j, w in row:
                     if j in ys:
-                        terms.setdefault(m, []).append((w, xs[i], ys[j]))
+                        terms.setdefault(i ^ j, []).append((w, xs[i], ys[j]))
         out = {}
         for m, t in sorted(terms.items()):
             out[m] = f"v{len(body)}"

@@ -103,7 +103,7 @@ class InverseResult(_Frozen):
         factors: list[Multivector] = []
         for step, table in zip(chain.steps, plan.steps):
             factors.append(step(Multivector._from_ints(a.sig, enumerate(cur), den) if factors else a))
-            cur = _rows(table, plan.dim, cur, cur)
+            cur = _rows(table, cur, cur)
             den *= den
         return tuple(factors)
 
@@ -153,7 +153,7 @@ def _plans(sig: Signature, chain: InvolutionChain) -> _Plan:
     Step k folds a with itself: each pair i <= j of its domain blades
     combines to a_i a_j (e_i f(e_j) + e_j f(e_i)), weight s(i,i)*delta(i) on
     the unit when i = j, else s(i,j)*delta(j) + s(j,i)*delta(i) on e_(i^j);
-    its row i lists the pairs (j, i^j, w) with w nonzero.  A step is closed
+    its row i lists the pairs (j, w) with w nonzero.  A step is closed
     exactly when every such pair lands inside the chain's next domain (the
     scalars, after the last step); a chain with a step that is not, or whose
     first domain leaves out grades an input may carry, raises
@@ -162,8 +162,8 @@ def _plans(sig: Signature, chain: InvolutionChain) -> _Plan:
     The factor tables compute P * f1(a1) * ... * fm(am), one table per
     factor.  Factor k carries only the blades j of step k's domain, and the
     running product P only the masks its earlier factors reach from the
-    unit.  Row j of factor k lists (i, i^j, s(i,j)*delta_k(j)) for every
-    such mask i, so folding a_k's numerators with P's gives the numerators
+    unit.  Row j of factor k lists (i, s(i,j)*delta_k(j)) for every such
+    mask i, so folding a_k's numerators with P's gives the numerators
     of P * f_k(a_k).  Once hot, the plan runs as one compiled kernel for
     the whole chain (`multivector._compile`).
     """
@@ -189,17 +189,16 @@ def _plans(sig: Signature, chain: InvolutionChain) -> _Plan:
                     w = signs[i * dim + j] * delta[j] + signs[j * dim + i] * delta[i]
                 if not w:
                     continue
-                m = i ^ j
-                if m.bit_count() not in target:
+                if (i ^ j).bit_count() not in target:
                     raise SubspaceViolation(
                         f"chain step {k} sends {blade_to_text(i)}, {blade_to_text(j)} to grade "
-                        f"{m.bit_count()}, outside the next domain {sorted(target)}"
+                        f"{(i ^ j).bit_count()}, outside the next domain {sorted(target)}"
                     )
-                row.append((j, m, w))
+                row.append((j, w))
             if row:
                 rows.append((i, tuple(row)))
         steps.append(tuple(rows))
-        factors.append(tuple((j, tuple((i, i ^ j, signs[i * dim + j] * delta[j]) for i in support)) for j in blades))
+        factors.append(tuple((j, tuple((i, signs[i * dim + j] * delta[j]) for i in support)) for j in blades))
         support = sorted({i ^ j for i in support for j in blades})
     return _Plan(tuple(factors), dim, steps=tuple(steps))
 

@@ -42,9 +42,9 @@ _RANK = tuple(map(blade_order(MAX_GENERATORS).index, range(1 << MAX_GENERATORS))
 
 
 def _fraction(value: Scalar) -> Fraction:
-    """An exact coefficient as a Fraction; a float is refused, its value is binary (0.1 is 3602879701896397/2**55)."""
-    if isinstance(value, float):
-        raise TypeError(f"float {value!r} is not an exact coefficient; pass an int or a Fraction")
+    """An exact coefficient as a Fraction: an int (a bool too) or a Fraction, and nothing else."""
+    if not isinstance(value, (int, Fraction)):
+        raise TypeError(f"{type(value).__name__} {value!r} is not an exact coefficient; pass an int or a Fraction")
     return Fraction(value)
 
 
@@ -57,9 +57,9 @@ def _ratio_text(v: int, d: int) -> str:
 # A plan runs this many times on its tables before `_fold` compiles it.
 _HOT = 128
 
-# A table is a tuple of rows (i, ((j, m, w), ...)): folding coefficient
-# lists x and y through it adds w * x_i * y_j onto mask m for each listed j.
-_Table = tuple[tuple[int, tuple[tuple[int, int, int], ...]], ...]
+# A table is a tuple of rows (i, ((j, w), ...)): folding coefficient lists
+# x and y through it adds w * x_i * y_j onto mask i ^ j for each listed j.
+_Table = tuple[tuple[int, tuple[tuple[int, int], ...]], ...]
 # What a plan runs on besides x, and what a run returns: a product plan
 # takes and returns lists, a chain plan takes a seed and returns (d, list or None).
 _Seed = Union[list[int], int]
@@ -86,14 +86,14 @@ class _Plan:
         self.factors, self.steps, self.dim, self.uses, self.kernel = factors, steps, dim, 0, None
 
 
-def _rows(table: _Table, dim: int, x: list[int], y: list[int]) -> list[int]:
+def _rows(table: _Table, x: list[int], y: list[int]) -> list[int]:
     """Fold x and y through one table, skipping the rows whose x_i is zero."""
-    acc = [0] * dim
+    acc = [0] * len(x)
     for i, row in table:
         xi = x[i]
         if xi:
-            for j, m, w in row:
-                acc[m] += w * xi * y[j]
+            for j, w in row:
+                acc[i ^ j] += w * xi * y[j]
     return acc
 
 
@@ -102,18 +102,18 @@ def _loop(plan: _Plan, x: list[int], y: _Seed) -> _Run:
     dim = plan.dim
     if plan.steps is None:
         (table,) = plan.factors
-        return _rows(table, dim, x, y)
+        return _rows(table, x, y)
     entering = []
     for table in plan.steps:
         entering.append(x)
-        x = _rows(table, dim, x, x)
+        x = _rows(table, x, x)
     d = x[0]
     if not d or not y:
         return d, None
     product = [0] * dim
     product[0] = y
     for table, a in zip(plan.factors, entering):
-        product = _rows(table, dim, a, product)
+        product = _rows(table, a, product)
     return d, product
 
 
@@ -151,13 +151,10 @@ def _compile(plan: _Plan) -> Callable[[list[int], _Seed], _Run]:
 
 @lru_cache(maxsize=None)
 def _product_plan(sig: Signature) -> _Plan:
-    """The plan of the geometric product: row i lists (j, i^j, s(i,j)) for every j."""
+    """The plan of the geometric product: row i lists (j, s(i,j)) for every j, row i of the sign table."""
     signs = product_signs(sig)
     dim = sig.dim
-    cols = range(dim)
-    return _Plan(
-        (tuple((i, tuple(zip(cols, [i ^ j for j in cols], signs[i * dim : (i + 1) * dim]))) for i in cols),), dim
-    )
+    return _Plan((tuple((i, tuple(enumerate(signs[i * dim : (i + 1) * dim]))) for i in range(dim)),), dim)
 
 
 class Multivector:

@@ -483,6 +483,22 @@ class TestLazyImports:
             "module 'cliffinv' has no attribute 'no_such_name'",
         ]
 
+    def test_dir_lists_the_lazy_oracle_names_sorted_without_importing_the_oracle(self):
+        # A fresh interpreter, in which nothing has loaded the oracle yet.
+        script = (
+            "import sys\n"
+            "import cliffinv\n"
+            "names = dir(cliffinv)\n"
+            "lazy = ('RegularMatrix', 'oracle_inverse', 'oracle_is_invertible', 'regular_matrix')\n"
+            "print(names == sorted(names), [n for n in lazy if n not in names], 'cliffinv.oracle' in sys.modules)\n"
+        )
+        src = str(Path(cliffinv.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (0, "True [] False\n", "")
+
 
 class TestBench:
     def test_each_lane_runs_once_untimed_before_its_timed_calls(self, monkeypatch):

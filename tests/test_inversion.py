@@ -142,7 +142,7 @@ class TestComposeInverse:
             3, (conjugation_delta(3),), (frozenset({0, 1, 2, 3}),)
         )
         a = Multivector(Signature(0, 3), {0: 1, 0b001: 1, 0b110: 1})
-        with pytest.raises(SubspaceViolation):
+        with pytest.raises(SubspaceViolation, match=r"^chain step 1 sends 1, e123 to grade 3, outside the next domain \[0\]$"):
             compose_inverse(a, chain)
 
     def test_broken_chain_escaping_support_raises_subspace_violation(self):
@@ -162,7 +162,7 @@ class TestComposeInverse:
         )
         sig = Signature(0, 3)
         for a in (Multivector(sig, {0b001: 1, 0b011: 1}), Multivector.unit(sig)):
-            with pytest.raises(SubspaceViolation):
+            with pytest.raises(SubspaceViolation, match=r"^chain step 1 sends 1, e12 to grade 2, outside the next domain \[0\]$"):
                 compose_inverse(a, chain)
 
 

@@ -1,5 +1,6 @@
 import json
 import random
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd
 
@@ -107,6 +108,29 @@ class TestProduct:
         # No float enters an exact coefficient; `a * Fraction(1, 2)` does.
         with pytest.raises(TypeError):
             op(rnd(S02, 1))
+
+    @pytest.mark.parametrize(
+        "value",
+        ["٣/٤", "1e3", "1/2", "1e2000000", Decimal("0.1"), 0.5, 1j, None],
+        ids=["other-script digits", "exponent string", "ratio string", "huge exponent", "Decimal", "float", "complex", "None"],
+    )
+    def test_only_an_int_or_a_fraction_is_a_coefficient(self, value):
+        # A string or a Decimal would skip the digit and exponent rules of the
+        # parser and `from_json_dict`, which hand the constructor ints and Fractions.
+        message = f"{type(value).__name__} {value!r} is not an exact coefficient; pass an int or a Fraction"
+        a = rnd(S01, 1)
+        for op in (
+            lambda: Multivector(S01, {0: value}),
+            lambda: Multivector(S01, {1: 1, 0: value}),
+            lambda: Multivector.scalar(S01, value),
+            lambda: a.scale(value),
+        ):
+            with pytest.raises(TypeError) as err:
+                op()
+            assert str(err.value) == message
+
+    def test_a_bool_and_a_fraction_stay_coefficients(self):
+        assert str(Multivector(S01, {0: True, 1: Fraction(1, 2)})) == "1 + 1/2*e1"
 
     def test_conjugate_pair_collapses_to_scalar(self):
         rng = random.Random(0)

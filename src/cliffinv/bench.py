@@ -65,17 +65,12 @@ def run_bench(sig: Signature, samples: int, seed: int, bound: int = 10) -> Bench
     compose_inverse(batch[0], chain)
     oracle_inverse(batch[0])
 
-    formula_times = []
-    for a in batch:
-        t0 = time.perf_counter()
-        compose_inverse(a, chain)
-        formula_times.append(time.perf_counter() - t0)
-
-    matrix_times = []
-    for a in batch:
-        t0 = time.perf_counter()
-        oracle_inverse(a)
-        matrix_times.append(time.perf_counter() - t0)
-
-    lanes = [LaneTiming("formula", formula_times), LaneTiming("matrix", matrix_times)]
+    lanes = []
+    for name, invert in (("formula", lambda a: compose_inverse(a, chain)), ("matrix", oracle_inverse)):
+        seconds = []
+        for a in batch:
+            t0 = time.perf_counter()
+            invert(a)
+            seconds.append(time.perf_counter() - t0)
+        lanes.append(LaneTiming(name, seconds))
     return BenchReport(sig, samples, seed, bound, lanes)

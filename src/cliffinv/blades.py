@@ -29,7 +29,8 @@ class _Frozen:
     """Base of the immutable value classes: __init__ fills __dict__, nothing writes it later.
 
     repr shows the `_fields`; == and hash compare their values (a tuple, or a lone field's value),
-    which with its hash is cached in __dict__ on first use, as lru_cache hits compare them again."""
+    which with its hash is cached in __dict__ on first use, as lru_cache hits compare them again.
+    A class may override `_values` when equality covers a value that repr does not show."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
@@ -67,26 +68,16 @@ class Signature(_Frozen):
     __match_args__ = _fields = ("p", "q")
     p: int
     q: int
+    n: int
+    dim: int
+    neg_mask: int  # bitmask of the generators that square to -1
 
     def __init__(self, p: int, q: int) -> None:
         if p < 0 or q < 0:
             raise ValueError(f"signature counts must be nonnegative, got ({p}, {q})")
         if p + q > MAX_GENERATORS:
             raise ValueError(f"at most {MAX_GENERATORS} generators are supported, got p+q={p + q}")
-        self.__dict__.update(p=p, q=q)
-
-    @property
-    def n(self) -> int:
-        return self.p + self.q
-
-    @property
-    def dim(self) -> int:
-        return 1 << (self.p + self.q)
-
-    @property
-    def neg_mask(self) -> int:
-        """Bitmask of the generators that square to -1."""
-        return (1 << self.p) - 1
+        self.__dict__.update(p=p, q=q, n=p + q, dim=1 << (p + q), neg_mask=(1 << p) - 1)
 
     def square(self, i: int) -> int:
         """Square of generator e_i, 1-based: -1 for i <= p, +1 for p < i <= p+q."""

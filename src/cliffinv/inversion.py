@@ -107,13 +107,9 @@ class InverseResult(_Frozen):
             den *= den
         return tuple(factors)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, InverseResult):
-            return NotImplemented
-        return (self.discriminant, self.inverse) == (other.discriminant, other.inverse) and self.factors == other.factors
-
-    def __hash__(self) -> int:
-        return hash((self.discriminant, self.factors, self.inverse))
+    @cached_property
+    def _values(self) -> tuple[Fraction, tuple[Multivector, ...], Optional[Multivector]]:
+        return self.discriminant, self.factors, self.inverse
 
 
 @lru_cache(maxsize=None)

@@ -33,6 +33,7 @@ class LengthDeltaMap(_Frozen):
 
     _fields = ("delta",)
     delta: tuple[int, ...]
+    n: int
 
     def __init__(self, delta: Sequence[int]):
         table = tuple(delta)
@@ -42,11 +43,7 @@ class LengthDeltaMap(_Frozen):
             raise ValueError("delta[0] must be +1 (scalars are always fixed)")
         if len(table) > MAX_GENERATORS + 1:
             raise ValueError(f"delta tables cover grades 0..{MAX_GENERATORS} at most")
-        self.__dict__["delta"] = table
-
-    @property
-    def n(self) -> int:
-        return len(self.delta) - 1
+        self.__dict__.update(delta=table, n=len(table) - 1)
 
     def __call__(self, a: Multivector) -> Multivector:
         return apply_delta(self, a)

@@ -1,5 +1,7 @@
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -257,6 +259,16 @@ class TestInv:
         else:
             assert out == f"D = {big}\ninverse = 1/{big}\n"
         assert sys.get_int_max_str_digits() == limit
+
+    def test_prints_on_an_interpreter_without_the_digit_limit(self, capsys, monkeypatch):
+        # Python 3.10.0-3.10.6 have no sys.get_int_max_str_digits: output is then printed with no limit to lift.
+        def refuse(limit):
+            raise AssertionError("set_int_max_str_digits called")
+
+        monkeypatch.delattr(sys, "get_int_max_str_digits", raising=False)
+        monkeypatch.setattr(sys, "set_int_max_str_digits", refuse, raising=False)
+        code, out, err = run(capsys, "inv", "-p", "0", "-q", "1", "2+e1")
+        assert (code, out, err) == (0, "D = 3\nfactor 1 = 2 - e1\ninverse = 2/3 - 1/3*e1\n", "")
 
     def test_literal_beyond_int_str_limit_exits_one(self, capsys):
         code, out, err = run(capsys, "inv", "-p", "0", "-q", "0", "1" * 5000)
@@ -572,3 +584,51 @@ class TestGoldenCorpus:
     def test_covers_every_signature(self):
         sigs = {(c["argv"][2], c["argv"][4]) for c in GOLDEN}
         assert len(sigs) == 21
+
+
+README = (Path(__file__).parent.parent / "README.md").read_text()
+
+
+def _readme_block(heading: str, lang: str) -> list[str]:
+    """The lines of the first ```lang block under a README heading."""
+    section = README.split(f"\n{heading}\n", 1)[1]
+    return section.split(f"```{lang}\n", 1)[1].split("\n```", 1)[0].splitlines()
+
+
+def _readme_cli_examples() -> list[tuple[list[str], int, str]]:
+    """Each `$ cliffinv ...` example of the README's CLI section that shows output:
+    its argv, its exit code (0 unless its comment names one) and its output."""
+    examples: list[tuple[str, list[str]]] = []
+    for line in _readme_block("## CLI", "text"):
+        if line.startswith("$ cliffinv "):
+            examples.append((line, []))
+        elif line:
+            examples[-1][1].append(line)
+    cases = []
+    for line, output in examples:
+        command, _, comment = line.partition("  #")
+        code = re.search(r"exit code (\d)", comment)
+        if output:
+            cases.append((shlex.split(command)[2:], int(code[1]) if code else 0, "\n".join(output) + "\n"))
+    return cases
+
+
+README_CLI = _readme_cli_examples()
+
+
+class TestReadme:
+    """The README's examples, run as written: CI runs two of them, and only on an installed package."""
+
+    def test_cli_examples_are_the_five_shown(self):
+        assert [argv[0] for argv, _, _ in README_CLI] == ["inv", "inv", "disc", "map", "delta-search"]
+
+    @pytest.mark.parametrize("argv, code, out", README_CLI, ids=[" ".join(c[0]) for c in README_CLI])
+    def test_cli_example(self, capsys, argv, code, out):
+        assert run(capsys, *argv)[:2] == (code, out)
+
+    def test_library_snippet(self, capsys):
+        lines = _readme_block("## Library", "python")
+        printed = [line.split("# ", 1)[1].strip() for line in lines if line.startswith("print(")]
+        assert len(printed) == 2 and sum(line.startswith("assert ") for line in lines) == 1
+        exec(compile("\n".join(lines), "README.md", "exec"), {})
+        assert capsys.readouterr().out.splitlines() == printed

@@ -130,11 +130,12 @@ class TestConstruction:
 # reversion_delta(3) is shared through its lru_cache: a write to it would break default_chain(3) for good.
 @pytest.mark.parametrize(
     "obj, field",
-    [(SIG, "p"), (SIG, "q"), (CHAIN, "n"), (CHAIN, "domains"), (result(), "discriminant"), (result(), "_a"),
-     (reversion_delta(3), "delta"), (MATRIX, "dim"), (MATRIX, "entries")],
-    ids=["Signature.p", "Signature.q", "InvolutionChain.n", "InvolutionChain.domains",
-         "InverseResult.discriminant", "InverseResult._a",
-         "LengthDeltaMap.delta", "RegularMatrix.dim", "RegularMatrix.entries"],
+    [(SIG, "p"), (SIG, "q"), (SIG, "dim"), (SIG, "neg_mask"), (CHAIN, "n"), (CHAIN, "domains"),
+     (result(), "discriminant"), (result(), "_a"), (reversion_delta(3), "delta"), (DELTA, "n"),
+     (MATRIX, "dim"), (MATRIX, "entries")],
+    ids=["Signature.p", "Signature.q", "Signature.dim", "Signature.neg_mask", "InvolutionChain.n",
+         "InvolutionChain.domains", "InverseResult.discriminant", "InverseResult._a",
+         "LengthDeltaMap.delta", "LengthDeltaMap.n", "RegularMatrix.dim", "RegularMatrix.entries"],
 )
 def test_fields_cannot_be_assigned_or_deleted(obj, field):
     before = getattr(obj, field)
@@ -158,3 +159,14 @@ def test_copies_and_pickles_compare_equal(make, protocol):
     h = hash(obj)
     for twin in (copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj, protocol))):
         assert twin == obj and hash(twin) == h
+
+
+# The derived fields are stored by __init__, so a copy or a pickle must carry them: _values holds only the _fields.
+@pytest.mark.parametrize("p, q", [(p, n - p) for n in range(6) for p in range(n + 1)])
+def test_derived_fields_are_stored_and_survive_copies_and_pickles(p, q):
+    sig, delta = Signature(p, q), LengthDeltaMap([1] * (p + q + 1))
+    twins = [copy.copy, copy.deepcopy]
+    twins += [lambda obj, k=k: pickle.loads(pickle.dumps(obj, k)) for k in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for twin in (lambda obj: obj, *twins):
+        s, d = twin(sig), twin(delta)
+        assert (s.n, s.dim, s.neg_mask, d.n) == (p + q, 2 ** (p + q), 2**p - 1, p + q)

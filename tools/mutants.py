@@ -172,6 +172,42 @@ ROWS: tuple[tuple[str, str, str, str, tuple[str, ...]], ...] = (
         "tuple((j, -s if i == j == dim - 1 else s) for j, s in enumerate(signs[i * dim : (i + 1) * dim]))",
         ("tests/test_multivector.py::TestProduct::test_matches_blade_by_blade_reference",),
     ),
+    (
+        "plans-pair-signs-swapped",
+        "src/cliffinv/inversion.py",
+        "signs[i * dim + j] * delta[j] + signs[j * dim + i] * delta[i]",
+        "signs[j * dim + i] * delta[j] + signs[i * dim + j] * delta[i]",
+        ("tests/test_inversion.py::TestComposeInverse",),
+    ),
+    (
+        "oracle-one-orbit",
+        "src/cliffinv/oracle.py",
+        "orbits = tuple(eps for eps in range(1 << k) if all(eps <= eps ^ h for h in by_pattern))",
+        "orbits = (0,)",
+        ("tests/test_oracle.py::TestOracleInverse",),
+    ),
+    (
+        "oracle-rhs-sign-negated",
+        "src/cliffinv/oracle.py",
+        "cols[r][j] = sign * e_Ss[S]",
+        "cols[r][j] = -sign * e_Ss[S]",
+        ("tests/test_oracle.py::TestOracleInverse",),
+    ),
+    (
+        # TestProductSignTable does not kill this one: its reference blade_mul reads the same neg_mask.
+        "signature-neg-mask-from-q",
+        "src/cliffinv/blades.py",
+        "neg_mask=(1 << p) - 1",
+        "neg_mask=(1 << q) - 1",
+        ("tests/test_blades.py::TestSignature",),
+    ),
+    (
+        "result-equality-without-factors",
+        "src/cliffinv/inversion.py",
+        "return self.discriminant, self.factors, self.inverse",
+        "return self.discriminant, self.inverse",
+        ("tests/test_inversion.py::TestInverseResult",),
+    ),
 )
 
 

@@ -39,7 +39,7 @@ from .involutions import (
     psi_delta,
     reversion_delta,
 )
-from .multivector import Multivector, _fold, _Plan, _rows
+from .multivector import Multivector, _central, _fold, _Plan, _rows
 
 
 class InvolutionChain(_Frozen):
@@ -161,7 +161,8 @@ def _plans(sig: Signature, chain: InvolutionChain) -> _Plan:
     unit.  Row j of factor k lists (i, s(i,j)*delta_k(j)) for every such
     mask i, so folding a_k's numerators with P's gives the numerators
     of P * f_k(a_k).  Once hot, the plan runs as one compiled kernel for
-    the whole chain (`multivector._compile`).
+    the whole chain (`multivector._compile`); the default chain's kernel
+    runs through the centre where `multivector._central` holds.
     """
     if chain.n != sig.n:
         raise DimensionMismatch(f"chain is for {chain.n} generators, element lives in {sig}")
@@ -196,7 +197,8 @@ def _plans(sig: Signature, chain: InvolutionChain) -> _Plan:
         steps.append(tuple(rows))
         factors.append(tuple((j, tuple((i, signs[i * dim + j] * delta[j]) for i in support)) for j in blades))
         support = sorted({i ^ j for i in support for j in blades})
-    return _Plan(tuple(factors), dim, steps=tuple(steps))
+    centre = sig if _central(sig) and chain == default_chain(5) else None
+    return _Plan(tuple(factors), dim, steps=tuple(steps), centre=centre)
 
 
 def compose_inverse(a: Multivector, chain: InvolutionChain) -> InverseResult:

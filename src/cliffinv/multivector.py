@@ -77,13 +77,21 @@ class _Plan:
     factor table, with the list that entered the matching step; the run
     returns (d, product), else (d, None).  `_fold` counts the plan's runs
     and, on the `_HOT`-th, stores a compiled `kernel` that every later run
-    calls instead of the tables.
+    calls instead of the tables.  `centre` is the signature when that
+    kernel runs through the centre (`_split`): a signature's product plan
+    and its default chain's plan where `_central` holds, else None.
     """
 
-    __slots__ = ("factors", "steps", "dim", "uses", "kernel")
+    __slots__ = ("factors", "steps", "dim", "centre", "uses", "kernel")
 
-    def __init__(self, factors: tuple[_Table, ...], dim: int, steps: Optional[tuple[_Table, ...]] = None) -> None:
-        self.factors, self.steps, self.dim, self.uses, self.kernel = factors, steps, dim, 0, None
+    def __init__(
+        self,
+        factors: tuple[_Table, ...],
+        dim: int,
+        steps: Optional[tuple[_Table, ...]] = None,
+        centre: Optional[Signature] = None,
+    ) -> None:
+        self.factors, self.steps, self.dim, self.centre, self.uses, self.kernel = factors, steps, dim, centre, 0, None
 
 
 def _rows(table: _Table, x: list[int], y: list[int]) -> list[int]:
@@ -154,7 +162,43 @@ def _product_plan(sig: Signature) -> _Plan:
     """The plan of the geometric product: row i lists (j, s(i,j)) for every j, row i of the sign table."""
     signs = product_signs(sig)
     dim = sig.dim
-    return _Plan((tuple((i, tuple(enumerate(signs[i * dim : (i + 1) * dim]))) for i in range(dim)),), dim)
+    rows = tuple((i, tuple(enumerate(signs[i * dim : (i + 1) * dim]))) for i in range(dim))
+    return _Plan((rows,), dim, centre=sig if _central(sig) else None)
+
+
+def _central(sig: Signature) -> bool:
+    """Whether sig has five generators and its pseudoscalar I = e12345, always central there, squares to +1."""
+    return sig.n == 5 and product_signs(sig)[-1] == 1
+
+
+@lru_cache(maxsize=None)
+def _split(sig: Signature) -> tuple[Signature, tuple[tuple[int, int, int], ...]]:
+    """Cl(p,q) as two copies of its even half, a four-generator algebra, where `_central` holds.
+
+    With I central and I*I = +1, a = u + I*v (u, v even) maps to the pair
+    (A, B) = (u + v, u - v), and that map is an isomorphism onto Cl+ x Cl+:
+    products and inverses go componentwise, and D(a) = D(A) * D(B).  Cl+ is
+    generated by E_i = e_i e5 (i = 1..4), which anticommute; taken squares
+    -1 first they are the generators of the returned signature.  Row t is
+    (S, s, tau): E_t = s * e_S for the even mask S, and tau = s * sign(I e_O)
+    for the odd mask O = S ^ 31.  So A_t = s*x_S + tau*x_O and
+    B_t = s*x_S - tau*x_O, and back, x_S = s*(A_t + B_t)/2 and
+    x_O = tau*(A_t - B_t)/2.
+    """
+    signs = product_signs(sig)
+    dim = sig.dim
+    top = dim - 1
+    gens = sorted((1 << i | 1 << (sig.n - 1) for i in range(sig.n - 1)), key=lambda g: signs[g * dim + g])
+    negative = sum(signs[g * dim + g] < 0 for g in gens)
+    rows = []
+    for t in range(1 << len(gens)):
+        mask, sign = 0, 1
+        for k, g in enumerate(gens):
+            if t >> k & 1:
+                sign *= signs[mask * dim + g]
+                mask ^= g
+        rows.append((mask, sign, sign * signs[top * dim + (mask ^ top)]))
+    return Signature(negative, len(gens) - negative), tuple(rows)
 
 
 class Multivector:

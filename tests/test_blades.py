@@ -163,6 +163,15 @@ class TestWellDefinedness:
             assert fold_blade_mul(word, sig) == naive_rewrite(word, sig)
 
 
+def _square_sign(a, b, sig):
+    """transposition_sign(a, b) times each shared generator's square, read from `Signature.square`, not `neg_mask`."""
+    s = transposition_sign(a, b)
+    for k in range(sig.n):
+        if (a & b) >> k & 1:
+            s *= sig.square(k + 1)
+    return s
+
+
 class TestProductSignTable:
     def test_matches_blade_mul_everywhere_small(self):
         # Every cell of all 21 tables: 7.7k cells.
@@ -171,7 +180,7 @@ class TestProductSignTable:
             dim = sig.dim
             for a in range(dim):
                 for b in range(dim):
-                    assert table[a * dim + b] == blade_mul(a, b, sig).sign
+                    assert table[a * dim + b] == blade_mul(a, b, sig).sign == _square_sign(a, b, sig)
 
     def test_matches_blade_mul_sampled_n5(self):
         rng = random.Random(5)
@@ -179,7 +188,7 @@ class TestProductSignTable:
             table = product_signs(sig)
             for _ in range(500):
                 a, b = rng.randrange(32), rng.randrange(32)
-                assert table[a * 32 + b] == blade_mul(a, b, sig).sign
+                assert table[a * 32 + b] == blade_mul(a, b, sig).sign == _square_sign(a, b, sig)
 
 
 class TestBladeText:

@@ -194,7 +194,8 @@ ROWS: tuple[tuple[str, str, str, str, tuple[str, ...]], ...] = (
         ("tests/test_oracle.py::TestOracleInverse",),
     ),
     (
-        # TestProductSignTable does not kill this one: its reference blade_mul reads the same neg_mask.
+        # TestSignature's literal masks kill this one; TestProductSignTable kills it too, since its second
+        # reference reads each generator's square from Signature.square (row signature-neg-mask-vs-sign-table).
         "signature-neg-mask-from-q",
         "src/cliffinv/blades.py",
         "neg_mask=(1 << p) - 1",
@@ -207,6 +208,34 @@ ROWS: tuple[tuple[str, str, str, str, tuple[str, ...]], ...] = (
         "return self.discriminant, self.factors, self.inverse",
         "return self.discriminant, self.inverse",
         ("tests/test_inversion.py::TestInverseResult",),
+    ),
+    (
+        "centre-split-sign-flipped",
+        "src/cliffinv/codegen.py",
+        "(s, names[S])",
+        "(-s, names[S])",
+        KERNELS,
+    ),
+    (
+        "centre-join-odd-half-summed",
+        "src/cliffinv/codegen.py",
+        "(-tau, b[t])",
+        "(tau, b[t])",
+        KERNELS,
+    ),
+    (
+        "centre-taken-when-pseudoscalar-squares-to-minus-one",
+        "src/cliffinv/multivector.py",
+        "product_signs(sig)[-1] == 1",
+        "product_signs(sig)[-1] != 0",
+        KERNELS,
+    ),
+    (
+        "signature-neg-mask-vs-sign-table",
+        "src/cliffinv/blades.py",
+        "neg_mask=(1 << p) - 1",
+        "neg_mask=(1 << q) - 1",
+        SIGN_TABLE,
     ),
 )
 
